@@ -12,7 +12,7 @@ GO ?= go
 # generation-cached variant too), and the metrics overhead pair
 # (BenchmarkObsOverhead runs each instrumented hot path against its
 # nil-registry twin — the two must stay within noise of each other).
-BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQuerySummary|BenchmarkStoreAggregates|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
+BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQuerySummary|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
 # proves the benchmarks run); any measurement that will be *compared* —
@@ -112,11 +112,10 @@ example-smoke:
 	$(GO) run ./examples/fleet-manager -days 1 -target 2
 
 # Fuzz smoke: a short native-fuzz burst over the WAL frame decoder and
-# the snapshot loader (malformed input must error, never panic). The
-# checked-in seed corpora live in internal/store/testdata/fuzz.
+# the snapshot shard decoder (malformed input must error, never panic).
+# The checked-in seed corpora live in internal/store/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime=10s
-	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotReadJSON$$' -fuzztime=10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotV2Decode$$' -fuzztime=10s
 
 ci: build fmt-check vet test smoke loadgen-smoke chaos-smoke example-smoke fuzz-smoke bench

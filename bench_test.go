@@ -736,7 +736,7 @@ func BenchmarkStoreAppendParallelManyMarkets(b *testing.B) { storeAppendParallel
 // BenchmarkStoreAppendProbesBatchParallel measures the batched ingestion
 // path: concurrent appenders each flush 64-record batches to their bound
 // market through Appender.AppendProbes, paying one lock round per batch
-// instead of per record (the replay / ReadJSON bulk-load pattern).
+// instead of per record (the bulk-load pattern).
 func BenchmarkStoreAppendProbesBatchParallel(b *testing.B) {
 	const batchSize = 64
 	db := store.New()
@@ -1051,24 +1051,8 @@ func BenchmarkQuerySummaryCached(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAggregates measures the per-market aggregate walk the
-// summary used before the rollup layer — still the right call when the
-// caller needs every market's row, and the baseline the rollup read is
-// compared against.
-func BenchmarkStoreAggregates(b *testing.B) {
-	db, base := benchWideStore(1000)
-	now := base.Add(24 * time.Hour)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := db.Aggregates(now); len(rows) != 1000 {
-			b.Fatalf("got %d rows", len(rows))
-		}
-	}
-}
-
 // BenchmarkStoreRegionAggregates reads the region-level rollups directly:
-// the O(regions) path BenchmarkStoreAggregates is compared against.
+// the O(regions) path behind the summary query.
 func BenchmarkStoreRegionAggregates(b *testing.B) {
 	db, base := benchWideStore(1000)
 	now := base.Add(24 * time.Hour)
@@ -1081,21 +1065,8 @@ func BenchmarkStoreRegionAggregates(b *testing.B) {
 	}
 }
 
-// BenchmarkScopeGenerationWalk vs BenchmarkGenerationOfScope: the same
-// cache-validity question answered by the per-shard walk and by the
-// rollup counter.
-func BenchmarkScopeGenerationWalk(b *testing.B) {
-	db, _ := benchWideStore(1000)
-	keep := func(id market.SpotID) bool { return id.Region() == "us-east-1" }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if db.ScopeGeneration(keep) == 0 {
-			b.Fatal("zero generation")
-		}
-	}
-}
-
+// BenchmarkGenerationOfScope answers a region's cache-validity question
+// from its rollup counter.
 func BenchmarkGenerationOfScope(b *testing.B) {
 	db, _ := benchWideStore(1000)
 	b.ReportAllocs()
@@ -1110,8 +1081,8 @@ func BenchmarkGenerationOfScope(b *testing.B) {
 // Windowed-read benchmarks --------------------------------------------
 //
 // The columnar shard layout exists so windowed folds are linear scans
-// over per-field slices. PriceStatsIn and SpikesInWindowAppend (with a
-// warm buffer) are the allocation-free contracts: 0 allocs/op each.
+// over per-field slices. PriceStatsIn and SpikesInWindow (with a warm
+// buffer) are the allocation-free contracts: 0 allocs/op each.
 
 // BenchmarkPriceStatsIn folds min/mean/max over a 5000-price window
 // in-shard: a binary search plus a linear pass over the price column,
@@ -1136,19 +1107,19 @@ func BenchmarkPriceStatsIn(b *testing.B) {
 }
 
 // BenchmarkSpikesInWindow scans the spike windows of 1000 markets through
-// SpikesInWindowAppend with a reused buffer: once the buffer's capacity
+// SpikesInWindow with a reused buffer: once the buffer's capacity
 // is warm, the steady state allocates nothing.
 func BenchmarkSpikesInWindow(b *testing.B) {
 	db, base := benchWideStore(1000)
 	from, to := base, base.Add(24*time.Hour)
-	buf := db.SpikesInWindow(from, to, nil) // warm the reuse buffer
+	buf := db.SpikesInWindow(nil, from, to, nil) // warm the reuse buffer
 	if len(buf) == 0 {
 		b.Fatal("empty window")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = db.SpikesInWindowAppend(buf[:0], from, to, nil)
+		buf = db.SpikesInWindow(buf[:0], from, to, nil)
 		if len(buf) == 0 {
 			b.Fatal("empty window")
 		}

@@ -1,12 +1,12 @@
 // Command spotlight-analyze regenerates the paper's Chapter 5 figures
-// from a previously dumped store snapshot (store.json written by
-// `spotlight-study -out`), without re-running the simulation — the
+// from a previously dumped store data dir (the store/ directory written
+// by `spotlight-study -out`), without re-running the simulation — the
 // collect-once / analyze-many workflow of a real measurement study.
 //
 // Usage:
 //
-//	spotlight-analyze -in results/store.json
-//	spotlight-analyze -in results/store.json -fig 5.4
+//	spotlight-analyze -in results/store
+//	spotlight-analyze -in results/store -fig 5.4
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"spotlight/internal/analysis"
 	"spotlight/internal/store"
@@ -29,24 +30,32 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("spotlight-analyze", flag.ContinueOnError)
 	var (
-		in  = fs.String("in", "store.json", "store snapshot to analyze")
+		in  = fs.String("in", "store", "store data dir to analyze")
 		fig = fs.String("fig", "", "single figure to print (e.g. 5.4); empty prints all")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	f, err := os.Open(*in)
+	// store.Open creates missing directories, so a mistyped path would
+	// analyze an empty store; demand an existing data dir instead.
+	if _, err := os.Stat(filepath.Join(*in, "meta.json")); err != nil {
+		return fmt.Errorf("%s is not a store data dir: %w", *in, err)
+	}
+	db, err := store.Open(*in, store.PersistOptions{})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	db, err := store.ReadJSON(f)
-	if err != nil {
-		return err
+	err = analyze(out, db, *in, *fig)
+	if cerr := db.Persister().Close(); err == nil {
+		err = cerr
 	}
+	return err
+}
+
+func analyze(out io.Writer, db *store.Store, in, fig string) error {
 	fmt.Fprintf(out, "loaded %s: %d probes, %d spikes, %d outages\n",
-		*in, db.ProbeCount(), len(db.Spikes()), len(db.Outages()))
+		in, db.ProbeCount(), len(db.Spikes()), len(db.Outages()))
 
 	figures := []struct {
 		id    string
@@ -65,7 +74,7 @@ func run(args []string, out io.Writer) error {
 	}
 	matched := false
 	for _, fg := range figures {
-		if *fig != "" && fg.id != *fig {
+		if fig != "" && fg.id != fig {
 			continue
 		}
 		matched = true
@@ -75,7 +84,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown figure %q", *fig)
+		return fmt.Errorf("unknown figure %q", fig)
 	}
 	return nil
 }

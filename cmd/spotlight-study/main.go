@@ -2,7 +2,8 @@
 // the simulated cloud and regenerates every table and figure of the
 // evaluation as text tables (Chapter 5 observations and the Chapter 6 case
 // studies). Optionally dumps the raw probe/price logs for offline
-// plotting.
+// plotting, plus the whole store as a durable data dir (results/store)
+// that spotlight-analyze reopens to regenerate the figures.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ import (
 	"spotlight/internal/demand"
 	"spotlight/internal/experiment"
 	"spotlight/internal/market"
+	"spotlight/internal/store"
 )
 
 func main() {
@@ -40,7 +42,7 @@ func run(args []string, out io.Writer) error {
 		tick     = fs.Duration("tick", 5*time.Minute, "simulation tick")
 		trials   = fs.Int("trials", 100, "SpotOn trials per market (Fig 6.2)")
 		regions  = fs.String("regions", "", "comma-separated region filter (default: all)")
-		outDir   = fs.String("out", "", "directory for raw CSV/JSON dumps (optional)")
+		outDir   = fs.String("out", "", "directory for raw CSV dumps and the store data dir (optional)")
 		profiles = fs.String("profiles", "", "JSON file overriding per-region demand profiles")
 		quiet    = fs.Bool("quiet", false, "suppress progress output")
 	)
@@ -76,6 +78,15 @@ func run(args []string, out io.Writer) error {
 			if day == total {
 				fmt.Fprintln(os.Stderr)
 			}
+		}
+	}
+
+	if *outDir != "" {
+		// Refuse before simulating: the dump never writes into an
+		// existing data dir.
+		storeDir := filepath.Join(*outDir, "store")
+		if _, err := os.Stat(storeDir); err == nil {
+			return fmt.Errorf("%s already exists; choose a fresh -out", storeDir)
 		}
 	}
 
@@ -224,7 +235,8 @@ func writeFigures(out io.Writer, st *experiment.Study, trials int) error {
 	return experiment.WriteFig62(out, rows62)
 }
 
-// dump writes the raw logs plus one plot-ready CSV per figure.
+// dump writes the raw logs, the store data dir, and one plot-ready CSV per
+// figure.
 func dump(st *experiment.Study, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -253,8 +265,8 @@ func dump(st *experiment.Study, dir string) error {
 	if err := writeFile("outages.csv", st.DB.WriteOutagesCSV); err != nil {
 		return err
 	}
-	if err := writeFile("store.json", st.DB.WriteJSON); err != nil {
-		return err
+	if err := copyStore(st.DB, filepath.Join(dir, "store")); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 
 	from, to := st.Window()
@@ -283,4 +295,28 @@ func dump(st *experiment.Study, dir string) error {
 		}
 	}
 	return nil
+}
+
+// copyStore copies an in-memory store into a fresh durable data dir at dir
+// (run has already refused an existing one). Each market's records go in
+// through the batch appends in their original append order, so every
+// per-market stream, derived outage, and figure computed from them is the
+// same in the copy. Close cuts the snapshot that store.Open recovers from.
+func copyStore(src *store.Store, dir string) error {
+	dst, err := store.Open(dir, store.PersistOptions{})
+	if err != nil {
+		return err
+	}
+	var from time.Time
+	to := time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
+	dst.AppendProbes(src.ProbesInWindow(nil, from, to, nil))
+	dst.AppendSpikes(src.SpikesInWindow(nil, from, to, nil))
+	for _, id := range src.Markets() {
+		dst.AppendBidSpreads(src.BidSpreadsFor(id))
+		dst.AppendRevocations(src.RevocationsFor(id, from, to))
+	}
+	for _, id := range src.PricedMarkets() {
+		dst.RecordPrices(id, src.Prices(id))
+	}
+	return dst.Persister().Close()
 }

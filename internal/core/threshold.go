@@ -58,14 +58,14 @@ func EstimateThreshold(db *store.Store, cat *market.Catalog, budgetPerDay float6
 		return ThresholdPlan{}, errors.New("core: empty calibration window")
 	}
 
-	spikes := db.SpikesInWindow(from, to, nil)
+	spikes := db.SpikesInWindow(nil, from, to, nil)
 	if len(spikes) == 0 {
 		return ThresholdPlan{}, ErrNoHistory
 	}
 
 	// Detection rate: how often a trigger probe hits an unavailable
 	// market (these probes are free, but they trigger the fan-out).
-	trigger := db.ProbesInWindow(from, to, func(r store.ProbeRecord) bool {
+	trigger := db.ProbesInWindow(nil, from, to, func(r store.ProbeRecord) bool {
 		return r.Kind == store.ProbeOnDemand && r.Trigger == store.TriggerSpike
 	})
 	detectionRate := 0.0

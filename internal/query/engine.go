@@ -250,7 +250,7 @@ func (e *Engine) RecommendFallback(m market.SpotID, n int, from, to time.Time) (
 		}
 		// Per-candidate index lookups: the candidate set is a handful of
 		// markets, so touching only their shards beats a full
-		// SpikeCrossings walk over every shard in the store.
+		// SpikeCrossingsWhere walk over every shard in the store.
 		rows = append(rows, Fallback{
 			Market:           cand,
 			ODUnavailability: unav,

@@ -75,7 +75,7 @@ func (e *Engine) PredictOutage(m market.SpotID, ratio float64, window time.Durat
 	// count pulls only the shards the level's market filter accepts, and
 	// only the [from, to] slice of each.
 	count := func(keep func(market.SpotID) bool) (total, hits int) {
-		for _, sp := range e.db.SpikesInWindow(from, to, keep) {
+		for _, sp := range e.db.SpikesInWindow(nil, from, to, keep) {
 			if sp.Ratio <= ratio {
 				continue
 			}

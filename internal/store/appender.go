@@ -11,8 +11,8 @@ import (
 // market, so appends go straight to the shard without a store-level map
 // lookup. The shard itself is created lazily on the first write: binding
 // an Appender to a never-probed market leaves no trace in the store, so
-// Markets()/Aggregates() keep their "at least one record" contract. All
-// methods are safe for concurrent use.
+// Markets() keeps its "at least one record" contract. All methods are
+// safe for concurrent use.
 //
 // Records written through an Appender must target the bound market; the
 // Market field of each record is routed by the handle, not re-checked.
@@ -43,7 +43,7 @@ func (a *Appender) shard() *shard {
 }
 
 // AppendProbe logs one probe of the bound market.
-func (a *Appender) AppendProbe(r ProbeRecord) { a.shard().appendProbe(r) }
+func (a *Appender) AppendProbe(r ProbeRecord) { a.shard().appendProbes([]ProbeRecord{r}) }
 
 // AppendProbes logs a batch of probes of the bound market under a single
 // shard-lock acquisition, preserving input order. Use it on replay and
@@ -56,13 +56,17 @@ func (a *Appender) AppendProbes(rs []ProbeRecord) {
 }
 
 // AppendSpike logs one threshold crossing of the bound market.
-func (a *Appender) AppendSpike(e SpikeEvent) { a.shard().appendSpike(e) }
+func (a *Appender) AppendSpike(e SpikeEvent) { a.shard().appendSpikes([]SpikeEvent{e}) }
 
 // AppendBidSpread logs one intrinsic-price search of the bound market.
-func (a *Appender) AppendBidSpread(r BidSpreadRecord) { a.shard().appendBidSpread(r) }
+func (a *Appender) AppendBidSpread(r BidSpreadRecord) {
+	a.shard().appendBidSpreads([]BidSpreadRecord{r})
+}
 
 // AppendRevocation logs one revocation watch of the bound market.
-func (a *Appender) AppendRevocation(r RevocationRecord) { a.shard().appendRevocation(r) }
+func (a *Appender) AppendRevocation(r RevocationRecord) {
+	a.shard().appendRevocations([]RevocationRecord{r})
+}
 
 // RecordPrice appends one price observation of the bound market.
-func (a *Appender) RecordPrice(p PricePoint) { a.shard().appendPrice(p) }
+func (a *Appender) RecordPrice(p PricePoint) { a.shard().appendPrices([]PricePoint{p}) }

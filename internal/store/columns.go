@@ -335,6 +335,20 @@ func (c *priceCols) window(dst []PricePoint, ordered bool, from, to time.Time) [
 	return dst
 }
 
+// crossingCols is the on-demand price-crossing index: the timestamp and
+// ratio of every spike with Ratio >= 1, all the crossing folds read.
+type crossingCols struct {
+	at    []time.Time
+	ratio []float64
+}
+
+func (c *crossingCols) n() int { return len(c.at) }
+
+func (c *crossingCols) push(e *SpikeEvent) {
+	c.at = append(c.at, e.At)
+	c.ratio = append(c.ratio, e.Ratio)
+}
+
 // outageCols holds the derived outage intervals. Unlike every other
 // family this one is not strictly append-only: closing an outage rewrites
 // end[i] in place, so captures deep-copy these columns instead of

@@ -33,8 +33,8 @@ func TestConcurrentShardedWrites(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Readers: exercise merged views, per-market lookups, and aggregates
-	// while writes are in flight. Their results are unasserted (the data
+	// Readers: exercise merged views, per-market lookups, and crossing
+	// folds while writes are in flight. Their results are unasserted (the data
 	// is racing); the race detector and ordering invariants below are the
 	// point.
 	var readers sync.WaitGroup
@@ -55,8 +55,8 @@ func TestConcurrentShardedWrites(t *testing.T) {
 						return
 					}
 				}
-				s.SpikeCrossings(time.Time{}, time.Now().Add(time.Hour))
-				s.Aggregates(time.Now())
+				s.SpikeCrossingsWhere(time.Time{}, time.Now().Add(time.Hour), nil)
+				s.CrossingStatsFor(concMarket(0), time.Time{}, time.Now().Add(time.Hour))
 				s.ProbeCount()
 			}
 		}()
@@ -103,8 +103,12 @@ func TestConcurrentShardedWrites(t *testing.T) {
 	if got := len(s.Spikes()); got != total {
 		t.Errorf("len(Spikes()) = %d, want %d", got, total)
 	}
-	if got := s.TotalProbeCost(); got != 0.25*total {
-		t.Errorf("TotalProbeCost = %v, want %v", got, 0.25*total)
+	cost := 0.0
+	for _, r := range s.Probes() {
+		cost += r.Cost
+	}
+	if cost != 0.25*total {
+		t.Errorf("probe cost = %v, want %v", cost, 0.25*total)
 	}
 	if got := len(s.Markets()); got != markets {
 		t.Errorf("Markets = %d, want %d", got, markets)
@@ -127,7 +131,7 @@ func TestConcurrentShardedWrites(t *testing.T) {
 	// Per-market invariants: every market got exactly its writer's
 	// records, outage derivation matched the rejected pattern (indexes
 	// 3,4 rejected per block of 10 -> one outage per block), and the
-	// aggregates agree with the logs.
+	// crossing index agrees with the logs.
 	window := base.Add(time.Duration(perMarket) * time.Minute)
 	for i := 0; i < markets; i++ {
 		id := concMarket(i)
@@ -151,18 +155,17 @@ func TestConcurrentShardedWrites(t *testing.T) {
 		t.Errorf("rejected probes = %d, want %d", len(rejected), totalRejected.Load())
 	}
 
-	var aggProbes, aggSpikes, aggCrossings int
-	for _, a := range s.Aggregates(window) {
-		aggProbes += a.TotalProbes
-		aggSpikes += a.Spikes
-		aggCrossings += a.SpikesAboveOD
-	}
-	if aggProbes != total || aggSpikes != total {
-		t.Errorf("aggregate totals = %d probes %d spikes, want %d each", aggProbes, aggSpikes, total)
-	}
 	// Ratios cycle 0.5, 1.5, 2.5, 3.5: three of four cross the OD price.
-	if want := total * 3 / 4; aggCrossings != want {
-		t.Errorf("aggregate crossings = %d, want %d", aggCrossings, want)
+	crossings := 0
+	for i := 0; i < markets; i++ {
+		c := s.CrossingStatsFor(concMarket(i), base, window)
+		crossings += c.Crossings
+		if c.MaxRatio != 3.5 {
+			t.Errorf("CrossingStatsFor(%v).MaxRatio = %v, want 3.5", concMarket(i), c.MaxRatio)
+		}
+	}
+	if want := total * 3 / 4; crossings != want {
+		t.Errorf("crossings = %d, want %d", crossings, want)
 	}
 }
 

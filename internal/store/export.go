@@ -2,184 +2,11 @@ package store
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"time"
-
-	"spotlight/internal/market"
 )
-
-// Snapshot is the JSON-serializable view of the whole store, used to dump
-// a study's raw data to disk.
-type Snapshot struct {
-	Probes      []ProbeRecord           `json:"probes"`
-	Spikes      []SpikeEvent            `json:"spikes"`
-	BidSpreads  []BidSpreadRecord       `json:"bidSpreads"`
-	Revocations []RevocationRecord      `json:"revocations"`
-	Outages     []OutageRecord          `json:"outages"`
-	Prices      map[string][]PricePoint `json:"prices"`
-}
-
-// WriteJSON serializes the full store contents to w. Each shard is
-// captured under a single lock hold, so every record stream reflects the
-// same per-market cut: a concurrent append lands either in all of its
-// market's streams or in none of them, never partially. Streams are the
-// usual timestamp-ordered merge across shards.
-func (s *Store) WriteJSON(w io.Writer) error {
-	snap := assembleSnapshot(s.captureAll())
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(snap); err != nil {
-		return fmt.Errorf("store: encode snapshot: %w", err)
-	}
-	return nil
-}
-
-// captureAll captures every shard (each under its own lock, without
-// touching the WAL) in market-ID order.
-func (s *Store) captureAll() []shardCapture {
-	shards := s.shardList()
-	captures := make([]shardCapture, len(shards))
-	for i, sh := range shards {
-		captures[i] = sh.capture(0)
-	}
-	return captures
-}
-
-// assembleSnapshot merges per-shard captures into the snapshot schema:
-// global streams ordered by timestamp (ties in market-ID order, which is
-// the captures' order) and the per-market price map.
-func assembleSnapshot(captures []shardCapture) Snapshot {
-	snap := Snapshot{Prices: make(map[string][]PricePoint)}
-	snap.Probes = mergeCaptured(captures,
-		func(c *shardCapture) ([]ProbeRecord, bool) {
-			return c.probes.appendTo(nil, c.id, 0, c.probes.n()), c.probesOrdered
-		}, probeAt)
-	snap.Spikes = mergeCaptured(captures,
-		func(c *shardCapture) ([]SpikeEvent, bool) {
-			return c.spikes.appendTo(nil, c.id, 0, c.spikes.n()), c.spikesOrdered
-		}, spikeAt)
-	snap.BidSpreads = mergeCaptured(captures,
-		func(c *shardCapture) ([]BidSpreadRecord, bool) {
-			return c.bidSpreads.appendTo(nil, c.id, 0, c.bidSpreads.n()), c.bidSpreadsOrdered
-		}, bidSpreadAt)
-	snap.Revocations = mergeCaptured(captures,
-		func(c *shardCapture) ([]RevocationRecord, bool) {
-			return c.revocations.appendTo(nil, c.id, 0, c.revocations.n()), c.revocationsOrdered
-		}, revocationAt)
-	snap.Outages = mergeCaptured(captures,
-		func(c *shardCapture) ([]OutageRecord, bool) {
-			return c.outages.appendTo(nil, c.id, 0, c.outages.n()), c.outagesOrdered
-		}, outageAt)
-	for _, c := range captures {
-		if c.prices.n() > 0 {
-			snap.Prices[c.id.String()] = c.prices.appendTo(nil, 0, c.prices.n())
-		}
-	}
-	return snap
-}
-
-// mergeCaptured is mergeByTime over captured runs instead of live shards.
-func mergeCaptured[T any](captures []shardCapture, collect func(*shardCapture) ([]T, bool), at func(T) time.Time) []T {
-	runs := make([][]T, 0, len(captures))
-	total, allOrdered := 0, true
-	for i := range captures {
-		run, ordered := collect(&captures[i])
-		if len(run) == 0 {
-			continue
-		}
-		runs = append(runs, run)
-		total += len(run)
-		allOrdered = allOrdered && ordered
-	}
-	return mergeTimedRuns(runs, allOrdered, total, at)
-}
-
-// ReadJSON loads a snapshot previously produced by WriteJSON into a fresh
-// Store, rebuilding the derived outage intervals from the probe log. This
-// is the offline-analysis path: collect a study once, regenerate figures
-// from the dump as often as needed.
-func ReadJSON(r io.Reader) (*Store, error) {
-	var snap Snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decode snapshot: %w", err)
-	}
-	s := New()
-	if err := s.loadSnapshot(snap); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// loadSnapshot replays a decoded snapshot's records into the store
-// through the ordinary append paths, so aggregates, rollups, and
-// generation counters rebuild to the values the captured store had. The
-// outage stream is ignored: outages are derived state, rebuilt from the
-// probe log.
-//
-// Replay order is deterministic — markets in ID order within each record
-// family — so two recoveries of the same snapshot produce bit-identical
-// stores, floating-point rollup sums included. (The fold order differs
-// from the live process's interleaved appends, so scope-level float sums
-// may differ from the pre-dump values in the last ulps; every count,
-// generation, and per-shard aggregate is exact.)
-func (s *Store) loadSnapshot(snap Snapshot) error {
-	// Each record family is grouped per market and batch-appended, so a
-	// shard's lock (and rollup publish) is paid once per market per
-	// family instead of once per record — per-family order, the only
-	// order derived state depends on, is preserved by the grouping.
-	applyGrouped(s, snap.Probes, func(r ProbeRecord) market.SpotID { return r.Market },
-		func(sh *shard, rs []ProbeRecord) { sh.appendProbes(rs) })
-	applyGrouped(s, snap.Spikes, func(e SpikeEvent) market.SpotID { return e.Market },
-		func(sh *shard, es []SpikeEvent) { sh.appendSpikes(es) })
-	applyGrouped(s, snap.BidSpreads, func(b BidSpreadRecord) market.SpotID { return b.Market },
-		func(sh *shard, bs []BidSpreadRecord) { sh.appendBidSpreads(bs) })
-	applyGrouped(s, snap.Revocations, func(r RevocationRecord) market.SpotID { return r.Market },
-		func(sh *shard, rs []RevocationRecord) { sh.appendRevocations(rs) })
-	priceKeys := make([]string, 0, len(snap.Prices))
-	for idStr := range snap.Prices {
-		priceKeys = append(priceKeys, idStr)
-	}
-	sort.Strings(priceKeys)
-	for _, idStr := range priceKeys {
-		id, err := market.ParseSpotID(idStr)
-		if err != nil {
-			return fmt.Errorf("store: snapshot price key: %w", err)
-		}
-		if series := snap.Prices[idStr]; len(series) > 0 {
-			s.shardFor(id).appendPrices(series)
-		}
-	}
-	return nil
-}
-
-// applyGrouped groups one record family per market and batch-applies it
-// in market-ID order, keeping replay deterministic.
-func applyGrouped[T any](s *Store, recs []T, marketOf func(T) market.SpotID, apply func(*shard, []T)) {
-	if len(recs) == 0 {
-		return
-	}
-	groups := make(map[market.SpotID][]T)
-	for _, r := range recs {
-		id := marketOf(r)
-		groups[id] = append(groups[id], r)
-	}
-	for _, id := range sortedMarketKeys(groups) {
-		apply(s.shardFor(id), groups[id])
-	}
-}
-
-// sortedMarketKeys returns the map's market keys in ID order.
-func sortedMarketKeys[V any](m map[market.SpotID]V) []market.SpotID {
-	keys := make([]market.SpotID, 0, len(m))
-	for id := range m {
-		keys = append(keys, id)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys
-}
 
 // WriteSpikesCSV writes the spike-event log as CSV with a header row.
 func (s *Store) WriteSpikesCSV(w io.Writer) error {

@@ -30,37 +30,10 @@ func TestGenerationCountsEveryRecordKind(t *testing.T) {
 	}
 }
 
-// TestScopeGeneration: the scoped sum counts only in-scope appends, so it
-// is the invalidation signal for filtered query caches.
-func TestScopeGeneration(t *testing.T) {
-	s := New()
-	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, false))
-	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, false))
-	s.AppendProbe(probe(t0, mktB, ProbeOnDemand, false))
-
-	all := s.ScopeGeneration(nil)
-	if all != 3 {
-		t.Errorf("global scope generation = %d, want 3", all)
-	}
-	usEast := func(id market.SpotID) bool { return id.Region() == "us-east-1" }
-	if g := s.ScopeGeneration(usEast); g != 2 {
-		t.Errorf("us-east-1 scope generation = %d, want 2", g)
-	}
-
-	// An out-of-scope append moves the global sum but not the scoped one.
-	s.AppendSpike(SpikeEvent{At: t0, Market: mktB, Ratio: 2})
-	if g := s.ScopeGeneration(usEast); g != 2 {
-		t.Errorf("scoped generation moved on out-of-scope append: %d", g)
-	}
-	if g := s.ScopeGeneration(nil); g != 4 {
-		t.Errorf("global generation = %d, want 4", g)
-	}
-}
-
 // TestAppendProbesMatchesSingles: the batched append must be
 // observationally identical to record-at-a-time appends — same probes,
-// same derived outages, same aggregates — for an interleaved multi-market
-// input.
+// same derived outages, same generations — for an interleaved
+// multi-market input.
 func TestAppendProbesMatchesSingles(t *testing.T) {
 	var input []ProbeRecord
 	for i := 0; i < 40; i++ {
@@ -85,10 +58,6 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 	if !reflect.DeepEqual(single.Outages(), batched.Outages()) {
 		t.Errorf("derived outages differ between single and batched appends")
 	}
-	now := t0.Add(time.Hour)
-	if !reflect.DeepEqual(single.Aggregates(now), batched.Aggregates(now)) {
-		t.Errorf("aggregates differ between single and batched appends")
-	}
 	if single.ProbeCount() != batched.ProbeCount() {
 		t.Errorf("probe counts differ: %d vs %d", single.ProbeCount(), batched.ProbeCount())
 	}
@@ -99,7 +68,7 @@ func TestAppendProbesMatchesSingles(t *testing.T) {
 	}
 	// Windowed reads (binary-search path) agree too.
 	from, to := t0.Add(5*time.Minute), t0.Add(25*time.Minute)
-	if !reflect.DeepEqual(single.ProbesInWindow(from, to, nil), batched.ProbesInWindow(from, to, nil)) {
+	if !reflect.DeepEqual(single.ProbesInWindow(nil, from, to, nil), batched.ProbesInWindow(nil, from, to, nil)) {
 		t.Errorf("windowed probes differ between single and batched appends")
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,11 +12,11 @@ import (
 	"spotlight/internal/market"
 )
 
-// The golden fixture pins the on-disk format — snapshot JSON schema, WAL
-// segment framing, and the binary record encoding — against accidental
-// change: testdata/golden/store holds a committed data directory
-// (snapshot + live WAL segments + meta) and expected-state.json the exact
-// WriteJSON dump recovery must reproduce from it. If either file stops
+// The golden fixture pins the on-disk format — snapshot manifest schema,
+// WAL segment framing, and the binary record encoding — against
+// accidental change: testdata/golden/store holds a committed data
+// directory (snapshot + live WAL segments + meta) and expected-state.json
+// the exact record dump (dumpStore) recovery must reproduce from it. If either file stops
 // matching, the format changed and needs a new magic/version plus a
 // migration story, not a silent break.
 //
@@ -35,8 +36,8 @@ func goldenDir(t testing.TB) string {
 }
 
 // goldenWorkload builds the fixture's store contents: a pre-snapshot part
-// (covered by snapshot-*.json after compaction) and a post-snapshot part
-// that lives only in WAL segments.
+// (covered by the snapshot-* directory after compaction) and a
+// post-snapshot part that lives only in WAL segments.
 func goldenWorkload(s *Store, p *Persister) error {
 	base := time.Date(2015, 9, 1, 12, 0, 0, 0, time.UTC)
 	appA := s.Appender(goldenA)
@@ -79,16 +80,6 @@ func TestGoldenFixture(t *testing.T) {
 	assertGoldenState(t, root)
 }
 
-// TestGoldenV1Fixture opens the frozen pre-v2 fixture — a data directory
-// whose snapshot is the legacy whole-store snapshot-<SEQ>.json — and
-// holds it to the exact same recovered state as the live-format fixture.
-// This is the migration contract: v1 directories keep opening, byte for
-// byte, with no regeneration path (the fixture is a historical artifact;
-// it must never be rewritten).
-func TestGoldenV1Fixture(t *testing.T) {
-	assertGoldenState(t, filepath.Join("testdata", "golden-v1"))
-}
-
 func assertGoldenState(t *testing.T, root string) {
 	t.Helper()
 	storeFixture := filepath.Join(root, "store")
@@ -103,16 +94,13 @@ func assertGoldenState(t *testing.T, root string) {
 		t.Fatalf("Open(golden fixture): %v", err)
 	}
 
-	var got bytes.Buffer
-	if err := s.WriteJSON(&got); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
+	got := dumpStore(t, s)
 	want, err := os.ReadFile(expectedPath)
 	if err != nil {
 		t.Fatalf("read expected state: %v", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("recovered state diverged from the golden dump — the on-disk format changed\n got: %.600s\nwant: %.600s", got.String(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("recovered state diverged from the golden dump — the on-disk format changed\n got: %.600s\nwant: %.600s", got, want)
 	}
 
 	// Spot checks on derived state, so a format break that still decodes
@@ -156,11 +144,7 @@ func regenGolden(t *testing.T, storeFixture, expectedPath string) {
 	if err := goldenWorkload(s, p); err != nil {
 		t.Fatalf("regen workload: %v", err)
 	}
-	var dump bytes.Buffer
-	if err := s.WriteJSON(&dump); err != nil {
-		t.Fatalf("regen dump: %v", err)
-	}
-	if err := os.WriteFile(expectedPath, dump.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(expectedPath, dumpStore(t, s), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Leave the fixture as a crashed process would: lock released, live
@@ -172,8 +156,6 @@ func regenGolden(t *testing.T, storeFixture, expectedPath string) {
 	// Seed corpora for the fuzz targets, in the go-fuzz corpus encoding.
 	writeFuzzSeed(t, "FuzzWALDecode", "seed-valid-segment", fuzzSegment())
 	writeFuzzSeed(t, "FuzzWALDecode", "seed-torn-tail", fuzzSegment()[:60])
-	writeFuzzSeed(t, "FuzzSnapshotReadJSON", "seed-valid-snapshot", dump.Bytes())
-	writeFuzzSeed(t, "FuzzSnapshotReadJSON", "seed-truncated", dump.Bytes()[:dump.Len()/3])
 	// A real v2 snapshot shard from the fixture seeds the binary decoder.
 	snapDirs, err := filepath.Glob(filepath.Join(storeFixture, snapshotPrefix+"*"))
 	if err != nil || len(snapDirs) != 1 {
@@ -186,6 +168,40 @@ func regenGolden(t *testing.T, storeFixture, expectedPath string) {
 	writeFuzzSeed(t, "FuzzSnapshotV2Decode", "seed-valid-shard", shardData)
 	writeFuzzSeed(t, "FuzzSnapshotV2Decode", "seed-truncated", shardData[:len(shardData)*2/3])
 	t.Log("golden fixture regenerated; commit testdata/")
+}
+
+// storeDump is the whole-store record view tests compare stores by: every
+// record stream merged across shards (derived outages included) plus each
+// market's price series, read through the public accessors. Its JSON
+// encoding is the committed expected-state.json format.
+type storeDump struct {
+	Probes      []ProbeRecord           `json:"probes"`
+	Spikes      []SpikeEvent            `json:"spikes"`
+	BidSpreads  []BidSpreadRecord       `json:"bidSpreads"`
+	Revocations []RevocationRecord      `json:"revocations"`
+	Outages     []OutageRecord          `json:"outages"`
+	Prices      map[string][]PricePoint `json:"prices"`
+}
+
+// dumpStore renders s as a storeDump in JSON.
+func dumpStore(t testing.TB, s *Store) []byte {
+	t.Helper()
+	d := storeDump{
+		Probes:      s.Probes(),
+		Spikes:      s.Spikes(),
+		BidSpreads:  s.BidSpreads(),
+		Revocations: s.Revocations(),
+		Outages:     s.Outages(),
+		Prices:      make(map[string][]PricePoint),
+	}
+	for _, id := range s.PricedMarkets() {
+		d.Prices[id.String()] = s.Prices(id)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(d); err != nil {
+		t.Fatalf("encode store dump: %v", err)
+	}
+	return buf.Bytes()
 }
 
 func writeFuzzSeed(t *testing.T, fuzzName, seedName string, data []byte) {

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -34,26 +33,17 @@ func persistMarket(i int) market.SpotID {
 	}
 }
 
-// assertStoresEqual compares two stores down to every layer the ISSUE
-// cares about: record streams (via the consistent JSON dump), per-market
-// aggregates, rollup aggregates at both scopes, and every generation
-// counter.
+// assertStoresEqual compares two stores down to every layer recovery
+// rebuilds: record streams and derived outages (via the test-side dump),
+// each market's crossing index, rollup aggregates at both scopes, and
+// every generation counter.
 func assertStoresEqual(t *testing.T, got, want *Store) {
 	t.Helper()
-	var gotJSON, wantJSON bytes.Buffer
-	if err := got.WriteJSON(&gotJSON); err != nil {
-		t.Fatalf("WriteJSON(got): %v", err)
-	}
-	if err := want.WriteJSON(&wantJSON); err != nil {
-		t.Fatalf("WriteJSON(want): %v", err)
-	}
-	if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
-		t.Errorf("record streams differ:\n got: %.400s\nwant: %.400s", gotJSON.String(), wantJSON.String())
+	gotJSON, wantJSON := dumpStore(t, got), dumpStore(t, want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("record streams differ:\n got: %.400s\nwant: %.400s", gotJSON, wantJSON)
 	}
 	now := persistBase.Add(30 * 24 * time.Hour)
-	if g, w := got.Aggregates(now), want.Aggregates(now); !reflect.DeepEqual(g, w) {
-		t.Errorf("Aggregates differ:\n got: %+v\nwant: %+v", g, w)
-	}
 	assertScopeAggsEqual(t, "RegionAggregates", got.RegionAggregates(now), want.RegionAggregates(now))
 	assertScopeAggsEqual(t, "RegionProductAggregates", got.RegionProductAggregates(now), want.RegionProductAggregates(now))
 	if g, w := got.GlobalGeneration(), want.GlobalGeneration(); g != w {
@@ -62,6 +52,9 @@ func assertStoresEqual(t *testing.T, got, want *Store) {
 	for _, id := range want.Markets() {
 		if g, w := got.Generation(id), want.Generation(id); g != w {
 			t.Errorf("Generation(%v) = %d, want %d", id, g, w)
+		}
+		if g, w := got.CrossingStatsFor(id, time.Time{}, now), want.CrossingStatsFor(id, time.Time{}, now); g != w {
+			t.Errorf("CrossingStatsFor(%v) = %+v, want %+v", id, g, w)
 		}
 		r := id.Region()
 		if g, w := got.GenerationOfScope(r, id.Product), want.GenerationOfScope(r, id.Product); g != w {
@@ -288,8 +281,8 @@ type persistOp struct {
 // (small segments, snapshots and flushes sprinkled in), the active WAL
 // segment of a random victim market is hard-truncated at an arbitrary
 // byte offset, and the reopened store must exactly match an in-memory
-// store replaying the surviving per-shard prefix — aggregates, rollups,
-// and generations included.
+// store replaying the surviving per-shard prefix — crossing indexes,
+// rollups, and generations included.
 func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
@@ -408,69 +401,6 @@ func TestCrashRecoveryTruncatedWAL(t *testing.T) {
 			assertStoresEqual(t, re, oracle)
 		})
 	}
-}
-
-// TestWriteJSONConsistentCut is the regression test for the documented
-// torn-read race: WriteJSON used to read each record stream in a separate
-// pass, so an append racing the dump could land its spike in the spike
-// stream while its probe missed the probe stream. Writers here append a
-// probe strictly before its paired spike; under a consistent per-shard
-// cut no dump can ever hold more spikes than probes for a market.
-func TestWriteJSONConsistentCut(t *testing.T) {
-	s := New()
-	const writers = 4
-	const pairs = 400
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		id := persistMarket(w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			app := s.Appender(id)
-			for i := 0; i < pairs; i++ {
-				at := persistBase.Add(time.Duration(i) * time.Second)
-				app.AppendProbe(ProbeRecord{At: at, Market: id, Kind: ProbeOnDemand})
-				app.AppendSpike(SpikeEvent{At: at, Market: id, Price: 1, Ratio: 2})
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			var buf bytes.Buffer
-			if err := s.WriteJSON(&buf); err != nil {
-				t.Errorf("WriteJSON: %v", err)
-				return
-			}
-			snap, err := ReadJSON(strings.NewReader(buf.String()))
-			if err != nil {
-				t.Errorf("ReadJSON: %v", err)
-				return
-			}
-			for _, a := range snap.Aggregates(persistBase) {
-				if a.Spikes > a.TotalProbes {
-					t.Errorf("torn dump: market %v has %d spikes but only %d probes", a.Market, a.Spikes, a.TotalProbes)
-					return
-				}
-			}
-		}
-	}()
-	// Writers finish, then the checker is released.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	<-done
 }
 
 func TestPersisterClockAndSalt(t *testing.T) {
@@ -676,5 +606,32 @@ func TestOpenRejectsBadWALDir(t *testing.T) {
 	}
 	if _, err := Open(dir, PersistOptions{}); err == nil {
 		t.Fatal("Open accepted a WAL directory that is not a market ID")
+	}
+}
+
+// TestOpenFailsOnLegacyJSONSnapshot: a whole-store snapshot-<SEQ>.json
+// from an older release is no longer readable, and compaction already
+// deleted the WAL epochs it covered, so Open must refuse the directory —
+// naming the file — instead of silently recovering without it.
+func TestOpenFailsOnLegacyJSONSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, PersistOptions{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	appendWorkload(s, 2, 5)
+	if err := s.Persister().Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	const legacy = "snapshot-00000009.json"
+	if err := os.WriteFile(filepath.Join(dir, legacy), []byte(`{"probes":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, PersistOptions{})
+	if err == nil {
+		t.Fatal("Open ignored a legacy JSON snapshot")
+	}
+	if !strings.Contains(err.Error(), legacy) {
+		t.Errorf("Open error %q does not name %s", err, legacy)
 	}
 }

@@ -36,19 +36,16 @@ import (
 // summed.
 
 // replayTask is one market's unit of recovery work: its snapshot shard
-// file (v2 only) plus its WAL segments.
+// file plus its WAL segments.
 type replayTask struct {
 	id  market.SpotID
 	key string // id.String(), the finalize sort key
 
-	// sh is the shard the task rebuilds. fresh marks a worker-built
-	// shard that finalize must adopt into the store; !fresh means the
-	// shard already exists (the legacy v1 snapshot was replayed into
-	// the store before the parallel phase).
-	sh    *shard
-	fresh bool
+	// sh is the shard the task rebuilds; finalize adopts it into the
+	// store.
+	sh *shard
 
-	// snapPath/snapRecords name the market's v2 snapshot shard file and
+	// snapPath/snapRecords name the market's snapshot shard file and
 	// the record count its manifest pins; empty when the snapshot does
 	// not cover this market.
 	snapPath    string
@@ -65,34 +62,29 @@ type replayTask struct {
 }
 
 // buildReplayTasks enumerates the markets recovery must rebuild: the
-// union of the snapshot manifest's shards (v2) and the WAL's segment
+// union of the snapshot manifest's shards and the WAL's segment
 // directories. Segment names are parsed here (serially — it is cheap
 // directory metadata) so maxEpoch accounts for every segment, including
 // ones the snapshot covers and ones a worker later removes.
-func buildReplayTasks(walRoot string, info snapInfo, s *Store) (tasks []*replayTask, maxEpoch uint64, err error) {
+func buildReplayTasks(walRoot string, info snapInfo) (tasks []*replayTask, maxEpoch uint64, err error) {
 	byID := make(map[market.SpotID]*replayTask)
 	task := func(id market.SpotID) *replayTask {
 		t := byID[id]
 		if t == nil {
-			t = &replayTask{id: id, key: id.String(), sh: s.lookup(id)}
-			if t.sh == nil {
-				t.sh, t.fresh = newShard(id), true
-			}
+			t = &replayTask{id: id, key: id.String(), sh: newShard(id)}
 			byID[id] = t
 		}
 		return t
 	}
 
-	if info.v2 {
-		for _, msh := range info.manifest.Shards {
-			id, perr := market.ParseSpotID(msh.Market)
-			if perr != nil {
-				return nil, 0, fmt.Errorf("store: snapshot manifest market %q: %w", msh.Market, perr)
-			}
-			t := task(id)
-			t.snapPath = filepath.Join(info.dirPath, msh.File)
-			t.snapRecords = msh.Records
+	for _, msh := range info.manifest.Shards {
+		id, perr := market.ParseSpotID(msh.Market)
+		if perr != nil {
+			return nil, 0, fmt.Errorf("store: snapshot manifest market %q: %w", msh.Market, perr)
 		}
+		t := task(id)
+		t.snapPath = filepath.Join(info.dirPath, msh.File)
+		t.snapRecords = msh.Records
 	}
 
 	ents, err := os.ReadDir(walRoot)
@@ -146,12 +138,12 @@ func buildReplayTasks(walRoot string, info snapInfo, s *Store) (tasks []*replayT
 	return tasks, maxEpoch, nil
 }
 
-// replayParallel rebuilds the store from the snapshot (v2) and the WAL:
+// replayParallel rebuilds the store from the snapshot and the WAL:
 // fan out one task per market, then finalize sequentially in market-ID
 // order. Returns each shard's last segment position (for attachPersister)
 // and the newest recovered record timestamp.
 func replayParallel(walRoot string, info snapInfo, s *Store) (map[market.SpotID]segPos, uint64, time.Time, error) {
-	tasks, maxEpoch, err := buildReplayTasks(walRoot, info, s)
+	tasks, maxEpoch, err := buildReplayTasks(walRoot, info)
 	if err != nil {
 		return nil, 0, time.Time{}, err
 	}
@@ -212,9 +204,7 @@ func replayParallel(walRoot string, info snapInfo, s *Store) (map[market.SpotID]
 			// so nothing to adopt and no position to remember.
 			continue
 		}
-		if t.fresh {
-			s.adoptShard(t.sh)
-		}
+		s.adoptShard(t.sh)
 		t.sh.publish(&t.delta)
 		if t.last != (segPos{}) {
 			positions[t.id] = t.last
@@ -306,9 +296,8 @@ func (t *replayTask) run(intern map[string]string) {
 			derr = fmt.Errorf("store: %d records, manifest claims %d", n, t.snapRecords)
 		}
 		if derr != nil {
-			// Same contract as a damaged v1 snapshot file: snapshots are
-			// rename-published, so damage is external — fail Open loudly
-			// instead of silently serving a partial recovery.
+			// Snapshots are rename-published, so damage is external — fail
+			// Open loudly instead of silently serving a partial recovery.
 			t.err = fmt.Errorf("store: snapshot shard %s is damaged (remove the snapshot directory to recover from an older snapshot + WAL, accepting the loss of the records only it covered): %w", t.snapPath, derr)
 			return
 		}
@@ -366,9 +355,9 @@ func (t *replayTask) run(intern map[string]string) {
 
 // applyEntry replays one decoded record through the shard's ordinary
 // locked append helpers — the exact code path a live append takes, so
-// every aggregate, ordered flag, derived outage, and crossing index
-// rebuilds identically — accumulating the rollup fold into the task's
-// delta for finalize.
+// every ordered flag, derived outage, and crossing index rebuilds
+// identically — accumulating the rollup fold into the task's delta for
+// finalize.
 func (t *replayTask) applyEntry(e *walEntry) {
 	switch e.typ {
 	case walProbe:

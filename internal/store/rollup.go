@@ -20,9 +20,10 @@ import (
 //
 //   - an append-generation counter (atomic, lock-free to read): the number
 //     of records of any kind ever appended inside the scope. It equals the
-//     sum of the scope's shard generations by construction, so it is the
-//     same per-shard invalidation signal Store.ScopeGeneration computes by
-//     walking shards — at O(1) instead of O(markets);
+//     sum of the scope's shard generations (Store.Generation) by
+//     construction, so it is the same per-shard invalidation signal a
+//     walk over the scope's shards would compute — at O(1) instead of
+//     O(markets);
 //   - the additive aggregates of the scope's shards (probe/rejection
 //     counters by kind, outage counts and durations, spike and crossing
 //     stats, price count/sum/min/max), folded in as rollupDeltas by the
@@ -450,8 +451,8 @@ func (s *Store) GlobalGeneration() uint64 {
 
 // GenerationOfScope returns the append generation of a (region, product)
 // scope, where either dimension may be empty for "all". It is equivalent
-// to ScopeGeneration over the same filter — the sum of the scope's shard
-// generations — but reads the rollup counters instead of walking shards:
+// to the sum of the scope's shard generations (Store.Generation), but
+// reads the rollup counters instead of walking shards:
 // O(1) for global, region, and (region, product) scopes, O(regions) for a
 // product-only scope.
 func (s *Store) GenerationOfScope(region market.Region, product market.Product) uint64 {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,51 +12,13 @@ import (
 // (ProbeOnDemand and ProbeSpot).
 const probeKinds = 2
 
-// kindIndex maps a ProbeKind to its aggregate slot; records with an
+// kindIndex maps a ProbeKind to its per-kind slot; records with an
 // unknown kind are logged but excluded from per-kind indexes.
 func kindIndex(k ProbeKind) (int, bool) {
 	if k == ProbeOnDemand || k == ProbeSpot {
 		return int(k) - 1, true
 	}
 	return 0, false
-}
-
-// kindAgg is the incrementally-maintained per-kind summary of one shard.
-type kindAgg struct {
-	probes   int
-	rejected int
-	// outages counts every derived outage interval, including an open one.
-	outages int
-	// closedOutageDur sums End-Start over closed outages.
-	closedOutageDur time.Duration
-	// openOutageStart is the start of the ongoing outage; zero when the
-	// kind is currently available.
-	openOutageStart time.Time
-}
-
-// outageDur returns the total detected outage time measured to now,
-// ongoing outage included.
-func (a *kindAgg) outageDur(now time.Time) time.Duration {
-	d := a.closedOutageDur
-	if !a.openOutageStart.IsZero() {
-		d += now.Sub(a.openOutageStart)
-	}
-	return d
-}
-
-// shardAgg holds one shard's running summaries, updated on every append so
-// aggregate queries never rescan the log.
-type shardAgg struct {
-	byKind     [probeKinds]kindAgg
-	probeCount int // all kinds, unknown included
-	probeCost  float64
-
-	spikes        int
-	spikesAboveOD int
-
-	priceCount         int
-	priceSum           float64
-	priceMin, priceMax float64
 }
 
 // shard holds every record of one spot market behind its own lock, so
@@ -89,7 +50,7 @@ type shard struct {
 	// crossings is the incremental index of spikes with Ratio >= 1 (the
 	// on-demand price crossings behind every stability/volatility query),
 	// stored compactly — queries only need when and how big.
-	crossings []crossing
+	crossings crossingCols
 
 	// Ordered flags track whether the corresponding slice is appended in
 	// non-decreasing time order; while true, window queries binary-search
@@ -105,8 +66,6 @@ type shard struct {
 	// openOutage[k] is 1+index into outages of kind k's ongoing outage;
 	// 0 means the kind is currently available.
 	openOutage [probeKinds]int
-
-	agg shardAgg
 
 	// rp and rg are the shard's (region, product) and region-level rollup
 	// entries, and storeGen the store's global generation counter; every
@@ -214,31 +173,12 @@ func newShard(id market.SpotID) *shard {
 	}
 }
 
-func (sh *shard) appendProbe(r ProbeRecord) {
-	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := r
-		d.events = append(d.events, Event{Kind: EventProbe, Market: sh.id, At: cp.At, Probe: &cp})
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte { return appendProbeFrame(b, r) })
-	sh.mu.Lock()
-	sh.appendProbeLocked(&r, &d)
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
-}
-
 // appendProbes logs a batch of probes under one lock acquisition,
-// amortizing the lock, the cache-line traffic of the aggregate updates,
-// and the rollup fold (one publish per batch) across the batch (bulk
-// loads, simulator replay, the monitor tick flush). The WAL frames of the
-// whole batch are encoded before the lock and land in the same round.
+// amortizing the lock and the rollup fold (one publish per batch) across
+// the batch (bulk loads, the monitor tick flush; single appends pass a
+// one-record batch). The WAL frames of the whole batch are encoded before
+// the lock and land in the same round.
 func (sh *shard) appendProbes(rs []ProbeRecord) {
-	if len(rs) == 0 {
-		return
-	}
 	var d rollupDelta
 	sh.armEvents(&d)
 	if d.emit {
@@ -273,8 +213,6 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 		sh.probesOrdered = false
 	}
 	sh.probes.push(r)
-	sh.agg.probeCount++
-	sh.agg.probeCost += r.Cost
 	d.probeCount++
 	d.probeCost += r.Cost
 
@@ -282,11 +220,9 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	if !ok {
 		return
 	}
-	ka, kd := &sh.agg.byKind[ki], &d.byKind[ki]
-	ka.probes++
+	kd := &d.byKind[ki]
 	kd.probes++
 	if r.Rejected {
-		ka.rejected++
 		kd.rejected++
 	}
 	switch {
@@ -298,8 +234,6 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 			Market: r.Market, Kind: r.Kind, Start: r.At,
 		})
 		sh.openOutage[ki] = sh.outages.n()
-		ka.outages++
-		ka.openOutageStart = r.At
 		kd.outages++
 		kd.openOutage(r.At)
 		if d.emit {
@@ -310,8 +244,6 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 		oi := sh.openOutage[ki] - 1
 		sh.outages.end[oi] = r.At
 		start := sh.outages.start[oi]
-		ka.closedOutageDur += r.At.Sub(start)
-		ka.openOutageStart = time.Time{}
 		sh.openOutage[ki] = 0
 		kd.closeOutage(start, r.At.Sub(start))
 		if d.emit {
@@ -321,28 +253,9 @@ func (sh *shard) appendProbeLocked(r *ProbeRecord, d *rollupDelta) {
 	}
 }
 
-func (sh *shard) appendSpike(e SpikeEvent) {
-	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := e
-		d.events = append(d.events, Event{Kind: EventSpike, Market: sh.id, At: cp.At, Spike: &cp})
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte { return appendSpikeFrame(b, e) })
-	sh.mu.Lock()
-	sh.appendSpikeLocked(&e, &d)
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
-}
-
 // appendSpikes logs a batch of spike events under one lock round and one
-// rollup publish (the replay bulk-load path).
+// rollup publish.
 func (sh *shard) appendSpikes(es []SpikeEvent) {
-	if len(es) == 0 {
-		return
-	}
 	var d rollupDelta
 	sh.armEvents(&d)
 	if d.emit {
@@ -376,13 +289,11 @@ func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
 		sh.spikesOrdered = false
 	}
 	sh.spikes.push(e)
-	sh.agg.spikes++
 	if e.Ratio >= 1 {
-		if n := len(sh.crossings); n > 0 && e.At.Before(sh.crossings[n-1].at) {
+		if n := sh.crossings.n(); n > 0 && e.At.Before(sh.crossings.at[n-1]) {
 			sh.crossingsOrdered = false
 		}
-		sh.crossings = append(sh.crossings, crossing{at: e.At, ratio: e.Ratio})
-		sh.agg.spikesAboveOD++
+		sh.crossings.push(e)
 		d.spikesAboveOD++
 		if e.Ratio > d.maxCrossRatio {
 			d.maxCrossRatio = e.Ratio
@@ -390,22 +301,9 @@ func (sh *shard) appendSpikeLocked(e *SpikeEvent, d *rollupDelta) {
 	}
 }
 
-// crossing is one compact entry of the price-crossing index.
-type crossing struct {
-	at    time.Time
-	ratio float64
-}
-
-func (sh *shard) appendBidSpread(r BidSpreadRecord) {
-	sh.appendBidSpreads([]BidSpreadRecord{r})
-}
-
 // appendBidSpreads logs a batch of intrinsic-price search results under
 // one lock round and one rollup publish.
 func (sh *shard) appendBidSpreads(rs []BidSpreadRecord) {
-	if len(rs) == 0 {
-		return
-	}
 	var d rollupDelta
 	sh.armEvents(&d)
 	if d.emit {
@@ -440,16 +338,9 @@ func (sh *shard) appendBidSpreadLocked(r *BidSpreadRecord, d *rollupDelta) {
 	sh.bidSpreads.push(r)
 }
 
-func (sh *shard) appendRevocation(r RevocationRecord) {
-	sh.appendRevocations([]RevocationRecord{r})
-}
-
 // appendRevocations logs a batch of revocation watches under one lock
 // round and one rollup publish.
 func (sh *shard) appendRevocations(rs []RevocationRecord) {
-	if len(rs) == 0 {
-		return
-	}
 	var d rollupDelta
 	sh.armEvents(&d)
 	if d.emit {
@@ -484,29 +375,9 @@ func (sh *shard) appendRevocationLocked(r *RevocationRecord, d *rollupDelta) {
 	sh.revocations.push(r)
 }
 
-func (sh *shard) appendPrice(p PricePoint) {
-	var d rollupDelta
-	sh.armEvents(&d)
-	if d.emit {
-		cp := p
-		d.events = append(d.events, Event{Kind: EventPrice, Market: sh.id, At: cp.At, Price: &cp})
-	}
-	enc := sh.encodeForWAL(func(b []byte) []byte { return appendPriceFrame(b, p) })
-	sh.mu.Lock()
-	sh.appendPriceLocked(&p, &d)
-	oversized := sh.walAppendLocked(enc)
-	sh.mu.Unlock()
-	sh.walFinish(enc, oversized)
-	sh.publish(&d)
-}
-
-// appendPrices logs a whole price series under one lock round and one
-// rollup publish (the replay bulk-load path: watched markets carry the
-// densest series in a study).
+// appendPrices logs a price series under one lock round and one rollup
+// publish.
 func (sh *shard) appendPrices(ps []PricePoint) {
-	if len(ps) == 0 {
-		return
-	}
 	var d rollupDelta
 	sh.armEvents(&d)
 	if d.emit {
@@ -540,19 +411,11 @@ func (sh *shard) appendPriceLocked(p *PricePoint, d *rollupDelta) {
 		sh.pricesOrdered = false
 	}
 	sh.prices.push(p)
-	sh.agg.priceCount++
-	sh.agg.priceSum += p.Price
-	if sh.agg.priceCount == 1 || p.Price < sh.agg.priceMin {
-		sh.agg.priceMin = p.Price
-	}
-	if sh.agg.priceCount == 1 || p.Price > sh.agg.priceMax {
-		sh.agg.priceMax = p.Price
-	}
 }
 
 // shardCapture is one shard's full record state cut under a single lock
-// hold — the per-shard consistent cut behind snapshots and WriteJSON: no
-// append can land in some of a market's record streams and not others.
+// hold — the per-shard consistent cut behind snapshots: no append can land
+// in some of a market's record streams and not others.
 // The append-only column families are captured zero-copy: the capture
 // holds the column slice headers as of the cut, and later appends only
 // write past the captured lengths (or into fresh backing arrays). Only
@@ -573,13 +436,6 @@ type shardCapture struct {
 	prices      priceCols
 	outages     outageCols
 
-	probesOrdered      bool
-	spikesOrdered      bool
-	bidSpreadsOrdered  bool
-	revocationsOrdered bool
-	pricesOrdered      bool
-	outagesOrdered     bool
-
 	// walErr reports a failed WAL cut when capture also advanced the
 	// shard's log epoch (snapshot path only).
 	walErr error
@@ -594,37 +450,19 @@ func (sh *shard) capture(cutEpoch uint64) shardCapture {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c := shardCapture{
-		id:                 sh.id,
-		gen:                sh.gen.Load(),
-		probes:             sh.probes,
-		spikes:             sh.spikes,
-		bidSpreads:         sh.bidSpreads,
-		revocations:        sh.revocations,
-		prices:             sh.prices,
-		outages:            sh.outages.clone(),
-		probesOrdered:      sh.probesOrdered,
-		spikesOrdered:      sh.spikesOrdered,
-		bidSpreadsOrdered:  sh.bidSpreadsOrdered,
-		revocationsOrdered: sh.revocationsOrdered,
-		pricesOrdered:      sh.pricesOrdered,
-		outagesOrdered:     sh.outagesOrdered,
+		id:          sh.id,
+		gen:         sh.gen.Load(),
+		probes:      sh.probes,
+		spikes:      sh.spikes,
+		bidSpreads:  sh.bidSpreads,
+		revocations: sh.revocations,
+		prices:      sh.prices,
+		outages:     sh.outages.clone(),
 	}
 	if cutEpoch != 0 && sh.wal != nil {
 		c.walErr = sh.wal.cutTo(cutEpoch)
 	}
 	return c
-}
-
-// windowBounds returns the half-open index range [lo, hi) of the elements
-// whose timestamp falls inside [from, to], assuming at(i) is
-// non-decreasing in i.
-func windowBounds(n int, at func(int) time.Time, from, to time.Time) (int, int) {
-	lo := sort.Search(n, func(i int) bool { return !at(i).Before(from) })
-	hi := sort.Search(n, func(i int) bool { return at(i).After(to) })
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }
 
 func (sh *shard) spikesIn(dst []SpikeEvent, from, to time.Time) []SpikeEvent {
@@ -688,23 +526,18 @@ func (sh *shard) priceStats(from, to time.Time) (samples int, min, sum, max floa
 func (sh *shard) crossingStats(from, to time.Time) (count int, maxRatio float64) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	c := &sh.crossings
 	if sh.crossingsOrdered {
-		lo, hi := windowBounds(len(sh.crossings), func(i int) time.Time { return sh.crossings[i].at }, from, to)
-		for _, e := range sh.crossings[lo:hi] {
-			count++
-			if e.ratio > maxRatio {
-				maxRatio = e.ratio
-			}
+		lo, hi := timeWindow(c.at, from, to)
+		for _, ratio := range c.ratio[lo:hi] {
+			maxRatio = max(maxRatio, ratio)
 		}
-		return count, maxRatio
+		return hi - lo, maxRatio
 	}
-	for _, e := range sh.crossings {
-		if e.at.Before(from) || e.at.After(to) {
-			continue
-		}
-		count++
-		if e.ratio > maxRatio {
-			maxRatio = e.ratio
+	for i, t := range c.at {
+		if inWindow(t, from, to) {
+			count++
+			maxRatio = max(maxRatio, c.ratio[i])
 		}
 	}
 	return count, maxRatio
@@ -745,7 +578,6 @@ func overlapWindow(start, end, from, to time.Time) time.Duration {
 // Timestamp accessors shared by the window helpers.
 func probeAt(r ProbeRecord) time.Time           { return r.At }
 func spikeAt(e SpikeEvent) time.Time            { return e.At }
-func priceAt(p PricePoint) time.Time            { return p.At }
 func revocationAt(r RevocationRecord) time.Time { return r.At }
 func bidSpreadAt(r BidSpreadRecord) time.Time   { return r.At }
 func outageAt(o OutageRecord) time.Time         { return o.Start }

@@ -12,8 +12,8 @@ import (
 	"spotlight/internal/market"
 )
 
-// Snapshot format v2: a directory per snapshot instead of one
-// whole-store JSON file.
+// Snapshot format v2, the store's one snapshot format: a directory per
+// snapshot.
 //
 //	snapshot-<SEQ>/
 //	  manifest.json            {"version":2,"seq":N,"shards":[...]}
@@ -22,9 +22,10 @@ import (
 // A shard file is the 8-byte magic "SPOTSNP2" followed by the WAL's
 // CRC-framed record encoding (wal.go) — one frame per record, families
 // in append order within each family (probes, spikes, bid spreads,
-// revocations, prices; derived outages are not stored, exactly as in
-// v1). Reusing the WAL codec means one binary format, one fuzz surface,
-// and one streaming decoder for both halves of recovery.
+// revocations, prices; derived outages are not stored — recovery rebuilds
+// them from the probes). Reusing the WAL codec means one binary format,
+// one fuzz surface, and one streaming decoder for both halves of
+// recovery.
 //
 // Encode and decode both stream record-at-a-time: the encoder walks a
 // shard capture's columns and frames one stack-allocated record per
@@ -40,12 +41,10 @@ import (
 // periodic snapshot of a mostly-idle fleet costs I/O proportional to
 // what changed.
 //
-// Publication is atomic like v1: the directory is assembled as
-// snapshot-<SEQ>.tmp (files fsynced, then the directory), renamed to its
-// final name, and the parent fsynced — a crash mid-snapshot leaves only
-// a .tmp directory, which recovery ignores and compaction removes. The
-// v1 single-file format stays readable (see persist.go): recovery
-// accepts whichever complete snapshot — either format — is newest.
+// Publication is atomic: the directory is assembled as snapshot-<SEQ>.tmp
+// (files fsynced, then the directory), renamed to its final name, and the
+// parent fsynced — a crash mid-snapshot leaves only a .tmp directory,
+// which recovery ignores and compaction removes.
 
 // snapMagic opens every v2 shard snapshot file.
 const snapMagic = "SPOTSNP2"
@@ -76,7 +75,7 @@ type snapManifestShard struct {
 
 // snapshotDirName renders a v2 snapshot directory name;
 // snapshotDirSeq inverts it (with the same canonical round-trip check as
-// segment and v1 snapshot names).
+// segment names).
 func snapshotDirName(seq uint64) string {
 	return fmt.Sprintf("%s%08d", snapshotPrefix, seq)
 }
@@ -322,17 +321,14 @@ func loadSnapManifest(dirPath string) (snapManifest, error) {
 
 // snapInfo locates the newest complete snapshot in a data directory.
 type snapInfo struct {
-	seq uint64 // 0 when no snapshot exists
-	v2  bool
-	// manifest is loaded for v2 snapshots.
+	seq      uint64 // 0 when no snapshot exists
 	manifest snapManifest
-	dirPath  string // v2 snapshot directory path
+	dirPath  string
 }
 
-// findLatestSnapshot scans dir for the newest complete snapshot of
-// either format: v2 directories (rename-published, so presence implies
-// completeness) and v1 single JSON files. In-progress .tmp directories
-// are ignored.
+// findLatestSnapshot scans dir for the newest complete snapshot directory
+// (rename-published, so presence implies completeness). In-progress .tmp
+// directories are ignored.
 func findLatestSnapshot(dir string) (snapInfo, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -340,22 +336,26 @@ func findLatestSnapshot(dir string) (snapInfo, error) {
 	}
 	var info snapInfo
 	for _, ent := range ents {
-		if ent.IsDir() {
-			if seq, ok := snapshotDirSeq(ent.Name()); ok && seq > info.seq {
-				info = snapInfo{seq: seq, v2: true, dirPath: filepath.Join(dir, ent.Name())}
+		name := ent.Name()
+		if !ent.IsDir() {
+			if strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, ".json") {
+				// A whole-store JSON snapshot from an older release. Its
+				// reader is gone, and compaction already deleted the WAL
+				// epochs it covered, so recovering without it would
+				// silently lose those records.
+				return snapInfo{}, fmt.Errorf("store: %s is a legacy JSON snapshot, a format this version no longer reads; recover the directory with an older release", filepath.Join(dir, name))
 			}
 			continue
 		}
-		if seq, ok := snapshotSeq(ent.Name()); ok && seq > info.seq {
-			info = snapInfo{seq: seq}
+		if seq, ok := snapshotDirSeq(name); ok && seq > info.seq {
+			info = snapInfo{seq: seq, dirPath: filepath.Join(dir, name)}
 		}
 	}
-	if info.v2 {
+	if info.seq > 0 {
 		man, err := loadSnapManifest(info.dirPath)
 		if err != nil {
-			// Same contract as a damaged v1 snapshot: fail loudly rather
-			// than silently recovering from an older snapshot whose WAL
-			// epochs compaction already deleted.
+			// Fail loudly rather than silently recovering from an older
+			// snapshot whose WAL epochs compaction already deleted.
 			return snapInfo{}, fmt.Errorf("store: snapshot %s is damaged (remove the directory to recover from an older snapshot + WAL, accepting the loss of the records only it covered): %w", filepath.Base(info.dirPath), err)
 		}
 		if man.Seq != info.seq {

@@ -12,23 +12,21 @@
 // contends on a global lock, and every per-market query (OutagesFor,
 // SpikesFor, Prices, OutageOverlap, ...) touches exactly one shard.
 //
-// Shards additionally maintain incremental indexes and aggregates on the
-// write path:
+// Shards additionally maintain incremental indexes on the write path:
 //
-//   - per-kind probe counters, rejection counters, and probe cost;
-//   - derived outage intervals with running totals of closed-outage
-//     duration and the open outage's start;
+//   - derived outage intervals, opened by a rejected probe and closed by
+//     the next fulfilled probe of the same contract kind;
 //   - an index of on-demand price crossings (spikes with Ratio >= 1),
 //     the events behind every stability/volatility ranking;
-//   - running price min/mean/max;
-//   - time-ordered flags per slice, so window queries binary-search the
-//     affected range instead of scanning whole histories.
+//   - time-ordered flags per record stream, so window queries
+//     binary-search the affected range instead of scanning whole
+//     histories.
 //
-// Aggregate queries (Aggregates, SpikeCrossings, ProbeCount,
-// TotalProbeCost) read those summaries in O(markets) instead of
-// O(records). Global iteration methods (Probes, Spikes, Outages, ...)
-// remain available for export and offline analysis: they merge across
-// shards in timestamp order, resolving ties by market-ID order.
+// Per-market folds (CrossingStatsFor, PriceStatsIn, OutageOverlap) run
+// inside one shard over those indexes without copying. Global iteration
+// methods (Probes, Spikes, Outages, ...) remain available for export and
+// offline analysis: they merge across shards in timestamp order,
+// resolving ties by market-ID order.
 //
 // # Rollup hierarchy
 //
@@ -265,7 +263,7 @@ type RevocationRecord struct {
 }
 
 // Store is the sharded database: every market's records live in their own
-// shard behind their own lock, with incrementally-maintained aggregates.
+// shard behind their own lock, with incrementally-maintained indexes.
 // Writes to different markets never contend, per-market queries touch only
 // their shard, and the global iteration methods merge across shards in
 // timestamp order. All methods are safe for concurrent use.
@@ -311,9 +309,7 @@ func New() *Store {
 	return s
 }
 
-// shardFor returns the shard of id, creating it on first write. A new
-// shard is bound to its region-level and (region, product) rollups, which
-// every subsequent append updates in the same lock round.
+// shardFor returns the shard of id, creating it on first write.
 func (s *Store) shardFor(id market.SpotID) *shard {
 	s.mu.RLock()
 	sh := s.shards[id]
@@ -321,58 +317,46 @@ func (s *Store) shardFor(id market.SpotID) *shard {
 	if sh != nil {
 		return sh
 	}
-	// Resolve the rollups outside the store lock (rollupFor takes it).
-	region := id.Region()
-	rp := s.rollupFor(rollupScope{region: region, product: id.Product})
-	rg := s.rollupFor(rollupScope{region: region})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sh = s.shards[id]; sh == nil {
-		sh = newShard(id)
-		sh.rp, sh.rg, sh.storeGen = rp, rg, &s.gen
-		sh.feed = s.feed
-		sh.metrics = s.metrics
-		if s.persist != nil {
-			// Minting the WAL handle under the store lock orders it
-			// against snapshot epoch bumps (Store.snapshotCut), so a new
-			// shard can never log into an epoch a concurrent snapshot
-			// claims to cover.
-			sh.wal = s.persist.newShardWAL(id)
-		}
-		s.shards[id] = sh
-		s.sorted = nil
-		// Shards exist iff they hold at least one record, so creation is
-		// the scope's market count ticking up.
-		for _, r := range [...]*rollup{rp, rg} {
-			r.mu.Lock()
-			r.agg.markets++
-			r.mu.Unlock()
-		}
-	}
-	return sh
+	return s.adoptShard(newShard(id))
 }
 
-// adoptShard publishes a shard that parallel recovery built outside the
-// store (replay.go): the shardFor wiring, minus creation — the recovered
-// records are already in the shard's columns. The caller publishes the
-// accumulated rollup delta afterwards; WAL handles are attached later by
-// attachPersister, exactly as for shards the v1 snapshot path creates.
-func (s *Store) adoptShard(sh *shard) {
+// adoptShard publishes sh as its market's shard and returns it, or
+// returns the shard that already exists. It serves both shard creation
+// (shardFor) and parallel recovery (replay.go), whose shards arrive with
+// their records already in the columns; recovery publishes the
+// accumulated rollup delta afterwards and gets its WAL handles later,
+// from attachPersister. The shard is bound to its region-level and
+// (region, product) rollups, which every subsequent append updates in the
+// same lock round.
+func (s *Store) adoptShard(sh *shard) *shard {
+	// Resolve the rollups outside the store lock (rollupFor takes it).
 	region := sh.id.Region()
 	rp := s.rollupFor(rollupScope{region: region, product: sh.id.Product})
 	rg := s.rollupFor(rollupScope{region: region})
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if cur := s.shards[sh.id]; cur != nil {
+		return cur
+	}
 	sh.rp, sh.rg, sh.storeGen = rp, rg, &s.gen
 	sh.feed = s.feed
 	sh.metrics = s.metrics
+	if s.persist != nil {
+		// Minting the WAL handle under the store lock orders it against
+		// snapshot epoch bumps (Store.snapshotCut), so a new shard can
+		// never log into an epoch a concurrent snapshot claims to cover.
+		sh.wal = s.persist.newShardWAL(sh.id)
+	}
 	s.shards[sh.id] = sh
 	s.sorted = nil
+	// Shards exist iff they hold at least one record, so adoption is the
+	// scope's market count ticking up.
 	for _, r := range [...]*rollup{rp, rg} {
 		r.mu.Lock()
 		r.agg.markets++
 		r.mu.Unlock()
 	}
+	return sh
 }
 
 // lookup returns the shard of id without creating it.
@@ -423,13 +407,6 @@ func mergeByTime[T any](shards []*shard, collect func(*shard) ([]T, bool), at fu
 		total += len(run)
 		allOrdered = allOrdered && ordered
 	}
-	return mergeTimedRuns(runs, allOrdered, total, at)
-}
-
-// mergeTimedRuns merges per-shard runs into one timestamp-ordered slice;
-// see mergeByTime for the ordering contract. Factored out so snapshot
-// assembly can merge already-captured runs without re-locking shards.
-func mergeTimedRuns[T any](runs [][]T, allOrdered bool, total int, at func(T) time.Time) []T {
 	switch {
 	case len(runs) == 0:
 		return nil
@@ -498,115 +475,84 @@ func mergeOrderedRuns[T any](runs [][]T, at func(T) time.Time, total int) []T {
 	return out
 }
 
-// AppendProbe logs one probe and folds it into the market's derived outage
-// intervals and running aggregates.
-func (s *Store) AppendProbe(r ProbeRecord) {
-	s.shardFor(r.Market).appendProbe(r)
-}
-
-// AppendProbes logs a batch of probes, grouping records by market so each
-// affected shard's lock is acquired once per group instead of once per
-// record. Within one market the input order is preserved (the outage
-// derivation depends on it); ordering across markets is irrelevant because
-// every derived structure is shard-local.
-func (s *Store) AppendProbes(rs []ProbeRecord) {
-	switch len(rs) {
+// appendGrouped splits a batch into per-market groups and hands each to
+// its shard's batch append, so a shard's lock is taken once per group
+// instead of once per record. Within one market the input order is
+// preserved (the outage derivation depends on it); ordering across
+// markets is irrelevant because every derived structure is shard-local.
+func appendGrouped[T any](s *Store, recs []T, marketOf func(T) market.SpotID, apply func(*shard, []T)) {
+	switch len(recs) {
 	case 0:
 		return
 	case 1:
-		s.AppendProbe(rs[0])
+		apply(s.shardFor(marketOf(recs[0])), recs)
 		return
 	}
-	// Bulk loads are usually a timestamp-ordered interleaving of many
-	// markets; group index runs per market first so the per-shard batch
-	// append pays one lock round per market, not per record.
-	groups := make(map[market.SpotID][]ProbeRecord)
-	for _, r := range rs {
-		groups[r.Market] = append(groups[r.Market], r)
+	groups := make(map[market.SpotID][]T)
+	for _, r := range recs {
+		id := marketOf(r)
+		groups[id] = append(groups[id], r)
 	}
 	for id, group := range groups {
-		s.shardFor(id).appendProbes(group)
+		apply(s.shardFor(id), group)
 	}
+}
+
+func probeMarket(r ProbeRecord) market.SpotID           { return r.Market }
+func spikeMarket(e SpikeEvent) market.SpotID            { return e.Market }
+func bidSpreadMarket(r BidSpreadRecord) market.SpotID   { return r.Market }
+func revocationMarket(r RevocationRecord) market.SpotID { return r.Market }
+
+// AppendProbe logs one probe and folds it into the market's derived outage
+// intervals.
+func (s *Store) AppendProbe(r ProbeRecord) {
+	s.shardFor(r.Market).appendProbes([]ProbeRecord{r})
+}
+
+// AppendProbes logs a batch of probes, one shard lock round per affected
+// market (see appendGrouped).
+func (s *Store) AppendProbes(rs []ProbeRecord) {
+	appendGrouped(s, rs, probeMarket, (*shard).appendProbes)
 }
 
 // AppendSpike logs one threshold-crossing event and indexes on-demand
 // price crossings (Ratio >= 1) incrementally.
 func (s *Store) AppendSpike(e SpikeEvent) {
-	s.shardFor(e.Market).appendSpike(e)
+	s.shardFor(e.Market).appendSpikes([]SpikeEvent{e})
 }
 
-// AppendSpikes logs a batch of spike events grouped per market, one shard
-// lock round per affected market. Within one market the input order is
-// preserved.
+// AppendSpikes logs a batch of spike events, one shard lock round per
+// affected market.
 func (s *Store) AppendSpikes(es []SpikeEvent) {
-	switch len(es) {
-	case 0:
-		return
-	case 1:
-		s.AppendSpike(es[0])
-		return
-	}
-	groups := make(map[market.SpotID][]SpikeEvent)
-	for _, e := range es {
-		groups[e.Market] = append(groups[e.Market], e)
-	}
-	for id, group := range groups {
-		s.shardFor(id).appendSpikes(group)
-	}
+	appendGrouped(s, es, spikeMarket, (*shard).appendSpikes)
 }
 
 // AppendBidSpread logs one intrinsic-price search result.
 func (s *Store) AppendBidSpread(r BidSpreadRecord) {
-	s.shardFor(r.Market).appendBidSpread(r)
+	s.shardFor(r.Market).appendBidSpreads([]BidSpreadRecord{r})
 }
 
-// AppendBidSpreads logs a batch of intrinsic-price search results grouped
-// per market; within one market the input order is preserved.
+// AppendBidSpreads logs a batch of intrinsic-price search results, one
+// shard lock round per affected market.
 func (s *Store) AppendBidSpreads(rs []BidSpreadRecord) {
-	switch len(rs) {
-	case 0:
-		return
-	case 1:
-		s.AppendBidSpread(rs[0])
-		return
-	}
-	groups := make(map[market.SpotID][]BidSpreadRecord)
-	for _, r := range rs {
-		groups[r.Market] = append(groups[r.Market], r)
-	}
-	for id, group := range groups {
-		s.shardFor(id).appendBidSpreads(group)
-	}
+	appendGrouped(s, rs, bidSpreadMarket, (*shard).appendBidSpreads)
 }
 
 // AppendRevocation logs one completed revocation watch.
 func (s *Store) AppendRevocation(r RevocationRecord) {
-	s.shardFor(r.Market).appendRevocation(r)
+	s.shardFor(r.Market).appendRevocations([]RevocationRecord{r})
 }
 
-// AppendRevocations logs a batch of completed revocation watches grouped
-// per market; within one market the input order is preserved.
+// AppendRevocations logs a batch of completed revocation watches, one
+// shard lock round per affected market.
 func (s *Store) AppendRevocations(rs []RevocationRecord) {
-	switch len(rs) {
-	case 0:
-		return
-	case 1:
-		s.AppendRevocation(rs[0])
-		return
-	}
-	groups := make(map[market.SpotID][]RevocationRecord)
-	for _, r := range rs {
-		groups[r.Market] = append(groups[r.Market], r)
-	}
-	for id, group := range groups {
-		s.shardFor(id).appendRevocations(group)
-	}
+	appendGrouped(s, rs, revocationMarket, (*shard).appendRevocations)
 }
 
 // RecordPrice appends one price observation for a market. Callers decide
 // which markets to track densely (watched markets) versus sample.
 func (s *Store) RecordPrice(id market.SpotID, p PricePoint) {
-	s.shardFor(id).appendPrice(p)
+	s.shardFor(id).appendPrices([]PricePoint{p})
 }
 
 // RecordPrices appends a batch of price observations for one market in
@@ -673,17 +619,12 @@ func (s *Store) ProbesWhere(keep func(ProbeRecord) bool) []ProbeRecord {
 	}, probeAt)
 }
 
-// ProbesInWindow returns the probes with At inside [from, to], optionally
-// filtered by keep, using each shard's time index. Results are grouped by
-// market in market-ID order.
-func (s *Store) ProbesInWindow(from, to time.Time, keep func(ProbeRecord) bool) []ProbeRecord {
-	return s.ProbesInWindowAppend(nil, from, to, keep)
-}
-
-// ProbesInWindowAppend is ProbesInWindow appending into dst, so steady
-// callers (pollers re-reading the same window shape) can reuse one buffer
-// and read allocation-free once its capacity is warm.
-func (s *Store) ProbesInWindowAppend(dst []ProbeRecord, from, to time.Time, keep func(ProbeRecord) bool) []ProbeRecord {
+// ProbesInWindow appends to dst the probes with At inside [from, to],
+// optionally filtered by keep, using each shard's time index. Results are
+// grouped by market in market-ID order, each market's run in append order.
+// Steady callers (pollers re-reading the same window shape) can reuse one
+// buffer and read allocation-free once its capacity is warm.
+func (s *Store) ProbesInWindow(dst []ProbeRecord, from, to time.Time, keep func(ProbeRecord) bool) []ProbeRecord {
 	out := dst
 	for _, sh := range s.shardList() {
 		start := len(out)
@@ -707,7 +648,7 @@ func (s *Store) ProbeCount() int {
 	total := 0
 	for _, sh := range s.shardList() {
 		sh.mu.RLock()
-		total += sh.agg.probeCount
+		total += sh.probes.n()
 		sh.mu.RUnlock()
 	}
 	return total
@@ -731,17 +672,12 @@ func (s *Store) SpikesFor(id market.SpotID, from, to time.Time) []SpikeEvent {
 	return sh.spikesIn(nil, from, to)
 }
 
-// SpikesInWindow returns the spike events with At inside [from, to] of
-// every market accepted by keep (all markets when keep is nil), using each
-// shard's time index. Results are grouped by market in market-ID order.
-func (s *Store) SpikesInWindow(from, to time.Time, keep func(market.SpotID) bool) []SpikeEvent {
-	return s.SpikesInWindowAppend(nil, from, to, keep)
-}
-
-// SpikesInWindowAppend is SpikesInWindow appending into dst, so steady
-// callers can reuse one buffer and read allocation-free once its capacity
-// is warm.
-func (s *Store) SpikesInWindowAppend(dst []SpikeEvent, from, to time.Time, keep func(market.SpotID) bool) []SpikeEvent {
+// SpikesInWindow appends to dst the spike events with At inside [from, to]
+// of every market accepted by keep (all markets when keep is nil), using
+// each shard's time index. Results are grouped by market in market-ID
+// order, each market's run in append order. Steady callers can reuse one
+// buffer and read allocation-free once its capacity is warm.
+func (s *Store) SpikesInWindow(dst []SpikeEvent, from, to time.Time, keep func(market.SpotID) bool) []SpikeEvent {
 	out := dst
 	for _, sh := range s.shardList() {
 		if keep != nil && !keep(sh.id) {
@@ -762,17 +698,12 @@ type CrossingStats struct {
 	MaxRatio float64
 }
 
-// SpikeCrossings returns per-market crossing statistics for [from, to],
-// computed from each shard's incremental crossings index. Markets with no
-// crossings in the window are absent.
-func (s *Store) SpikeCrossings(from, to time.Time) map[market.SpotID]CrossingStats {
-	return s.SpikeCrossingsWhere(from, to, nil)
-}
-
-// SpikeCrossingsWhere is SpikeCrossings restricted to the markets accepted
-// by keep (all markets when nil): shards outside the scope are skipped
-// entirely, so a region- or product-filtered ranking touches only the
-// matching shards' crossing indexes.
+// SpikeCrossingsWhere returns per-market crossing statistics for [from,
+// to] of the markets accepted by keep (all markets when nil), computed
+// from each shard's incremental crossings index. Markets with no crossings
+// in the window are absent. Shards outside the scope are skipped entirely,
+// so a region- or product-filtered ranking touches only the matching
+// shards' crossing indexes.
 func (s *Store) SpikeCrossingsWhere(from, to time.Time, keep func(market.SpotID) bool) map[market.SpotID]CrossingStats {
 	out := make(map[market.SpotID]CrossingStats)
 	for _, sh := range s.shardList() {
@@ -911,90 +842,11 @@ func (s *Store) PricedMarkets() []market.SpotID {
 	var out []market.SpotID
 	for _, sh := range s.shardList() {
 		sh.mu.RLock()
-		n := sh.agg.priceCount
+		n := sh.prices.n()
 		sh.mu.RUnlock()
 		if n > 0 {
 			out = append(out, sh.id)
 		}
-	}
-	return out
-}
-
-// TotalProbeCost sums the dollars charged across all probes, from the
-// shard aggregates.
-func (s *Store) TotalProbeCost() float64 {
-	total := 0.0
-	for _, sh := range s.shardList() {
-		sh.mu.RLock()
-		total += sh.agg.probeCost
-		sh.mu.RUnlock()
-	}
-	return total
-}
-
-// MarketAggregates is the incrementally-maintained summary of one market's
-// shard: counters the old flat log could only produce by rescanning every
-// record.
-type MarketAggregates struct {
-	Market market.SpotID
-
-	// TotalProbes counts every logged probe, including unknown kinds;
-	// ODProbes and SpotProbes break down the known ones.
-	TotalProbes  int
-	ODProbes     int
-	ODRejected   int
-	SpotProbes   int
-	SpotRejected int
-	ProbeCost    float64
-
-	// ODOutages / SpotOutages count detected outage intervals, ongoing
-	// included; ODOutageDur measures total on-demand outage time to `now`.
-	ODOutages   int
-	SpotOutages int
-	ODOutageDur time.Duration
-
-	Spikes        int
-	SpikesAboveOD int
-
-	PriceSamples int
-	PriceMin     float64
-	PriceMean    float64
-	PriceMax     float64
-}
-
-// Aggregates returns every shard's running summary at instant now (used to
-// measure ongoing outages), in market-ID order. This is an O(markets)
-// walk; no record is copied or rescanned.
-func (s *Store) Aggregates(now time.Time) []MarketAggregates {
-	shards := s.shardList()
-	out := make([]MarketAggregates, 0, len(shards))
-	for _, sh := range shards {
-		sh.mu.RLock()
-		a := sh.agg
-		sh.mu.RUnlock()
-		od := a.byKind[ProbeOnDemand-1]
-		spot := a.byKind[ProbeSpot-1]
-		m := MarketAggregates{
-			Market:        sh.id,
-			TotalProbes:   a.probeCount,
-			ODProbes:      od.probes,
-			ODRejected:    od.rejected,
-			SpotProbes:    spot.probes,
-			SpotRejected:  spot.rejected,
-			ProbeCost:     a.probeCost,
-			ODOutages:     od.outages,
-			SpotOutages:   spot.outages,
-			ODOutageDur:   od.outageDur(now),
-			Spikes:        a.spikes,
-			SpikesAboveOD: a.spikesAboveOD,
-			PriceSamples:  a.priceCount,
-			PriceMin:      a.priceMin,
-			PriceMax:      a.priceMax,
-		}
-		if a.priceCount > 0 {
-			m.PriceMean = a.priceSum / float64(a.priceCount)
-		}
-		out = append(out, m)
 	}
 	return out
 }
@@ -1009,24 +861,4 @@ func (s *Store) Generation(id market.SpotID) uint64 {
 		return 0
 	}
 	return sh.gen.Load()
-}
-
-// ScopeGeneration sums the append generations of the shards accepted by
-// keep (all shards when nil). Because each append increments exactly one
-// in-scope shard's counter by one, the sum equals the total number of
-// records ever appended inside the scope and is strictly monotone in those
-// appends: equal sums imply an unchanged scope. Appends outside the scope
-// leave the sum untouched — that is the per-shard invalidation a response
-// cache keys on. The walk is O(markets) atomic loads, no shard lock taken.
-// For region/product-shaped scopes prefer GenerationOfScope, which reads
-// the equivalent rollup counter in O(1).
-func (s *Store) ScopeGeneration(keep func(market.SpotID) bool) uint64 {
-	var total uint64
-	for _, sh := range s.shardList() {
-		if keep != nil && !keep(sh.id) {
-			continue
-		}
-		total += sh.gen.Load()
-	}
-	return total
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -42,9 +41,6 @@ func TestAppendAndQueryProbes(t *testing.T) {
 	rejected := s.ProbesWhere(func(r ProbeRecord) bool { return r.Rejected })
 	if len(rejected) != 1 || rejected[0].Market != mktB {
 		t.Errorf("ProbesWhere(rejected) = %+v", rejected)
-	}
-	if got := s.TotalProbeCost(); got != 0.84 {
-		t.Errorf("TotalProbeCost = %v, want 0.84", got)
 	}
 }
 
@@ -143,21 +139,23 @@ func TestAppenderLazyShard(t *testing.T) {
 	if app.Market() != mktA {
 		t.Fatalf("Appender bound to %v, want %v", app.Market(), mktA)
 	}
-	// Binding alone must leave no trace: Markets()/Aggregates() promise
-	// "at least one record".
+	// Binding alone must leave no trace: Markets() promises "at least
+	// one record", and the market has no generation yet.
 	if got := len(s.Markets()); got != 0 {
 		t.Fatalf("Markets after bare bind = %d, want 0", got)
 	}
-	if got := len(s.Aggregates(t0)); got != 0 {
-		t.Fatalf("Aggregates after bare bind = %d, want 0", got)
+	if g := s.Generation(mktA); g != 0 {
+		t.Fatalf("Generation after bare bind = %d, want 0", g)
 	}
 	app.AppendSpike(SpikeEvent{At: t0, Market: mktA, Ratio: 2})
 	if got := s.Markets(); len(got) != 1 || got[0] != mktA {
 		t.Fatalf("Markets after first write = %v, want [%v]", got, mktA)
 	}
-	aggs := s.Aggregates(t0)
-	if len(aggs) != 1 || aggs[0].Spikes != 1 || aggs[0].SpikesAboveOD != 1 {
-		t.Fatalf("Aggregates after first write = %+v", aggs)
+	if got := s.Spikes(); len(got) != 1 || got[0].Market != mktA {
+		t.Fatalf("Spikes after first write = %+v", got)
+	}
+	if c := s.CrossingStatsFor(mktA, t0, t0); c.Crossings != 1 || c.MaxRatio != 2 {
+		t.Fatalf("CrossingStatsFor after first write = %+v, want 1 crossing at ratio 2", c)
 	}
 	// Writes through the handle and through the store land in one shard.
 	s.AppendSpike(SpikeEvent{At: t0.Add(time.Hour), Market: mktA, Ratio: 0.5})
@@ -189,29 +187,6 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrip(t *testing.T) {
-	s := New()
-	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
-	s.AppendSpike(SpikeEvent{At: t0, Market: mktA, Ratio: 2})
-	s.RecordPrice(mktA, PricePoint{At: t0, Price: 0.5})
-	s.AppendBidSpread(BidSpreadRecord{At: t0, Market: mktA, Published: 0.1, Intrinsic: 0.12, Attempts: 2})
-
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if len(snap.Probes) != 1 || len(snap.Spikes) != 1 || len(snap.Outages) != 1 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-	if len(snap.Prices[mktA.String()]) != 1 {
-		t.Errorf("snapshot prices missing for %s", mktA)
-	}
-}
-
 func TestWriteProbesCSV(t *testing.T) {
 	s := New()
 	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
@@ -240,49 +215,6 @@ func TestWritePricesCSV(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "0.42") {
 		t.Errorf("prices csv missing sample: %q", buf.String())
-	}
-}
-
-func TestReadJSONRoundTrip(t *testing.T) {
-	s := New()
-	s.AppendProbe(probe(t0, mktA, ProbeOnDemand, true))
-	s.AppendProbe(probe(t0.Add(10*time.Minute), mktA, ProbeOnDemand, false))
-	s.AppendSpike(SpikeEvent{At: t0, Market: mktA, Ratio: 2})
-	s.RecordPrice(mktB, PricePoint{At: t0, Price: 0.5})
-	s.AppendBidSpread(BidSpreadRecord{At: t0, Market: mktA, Published: 0.1, Intrinsic: 0.12, Attempts: 2})
-	s.AppendRevocation(RevocationRecord{At: t0, Market: mktA, Bid: 0.42, Held: time.Hour})
-
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.ProbeCount() != 2 || len(loaded.Spikes()) != 1 ||
-		len(loaded.BidSpreads()) != 1 || len(loaded.Revocations()) != 1 {
-		t.Errorf("loaded counts wrong: %d probes %d spikes", loaded.ProbeCount(), len(loaded.Spikes()))
-	}
-	if got := loaded.Prices(mktB); len(got) != 1 || got[0].Price != 0.5 {
-		t.Errorf("loaded prices = %+v", got)
-	}
-	// The derived outage intervals are rebuilt from the probe log.
-	outs := loaded.OutagesFor(mktA, ProbeOnDemand)
-	if len(outs) != 1 || outs[0].End.IsZero() {
-		t.Errorf("rebuilt outages = %+v", outs)
-	}
-	if got := outs[0].End.Sub(outs[0].Start); got != 10*time.Minute {
-		t.Errorf("rebuilt outage duration = %v, want 10m", got)
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"prices":{"badkey":[]}}`)); err == nil {
-		t.Error("malformed market key accepted")
 	}
 }
 

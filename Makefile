@@ -8,11 +8,11 @@ GO ?= go
 # batch ingest, WAL append+flush cycle, boot-time replay), and the
 # change-feed paths (publish round, 1/64/512-subscriber fan-out, and the
 # blocked-watcher ingest twin that proves slow consumers cannot stall
-# appends), the advisor ranking path (BenchmarkAdvise matches the
-# generation-cached variant too), and the metrics overhead pair
+# appends), the advisor ranking path, the warm response-cache round trip
+# (BenchmarkQueryCached), and the metrics overhead pair
 # (BenchmarkObsOverhead runs each instrumented hot path against its
 # nil-registry twin — the two must stay within noise of each other).
-BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQuerySummary|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
+BENCH_SMOKE = BenchmarkQueryStable|BenchmarkQuerySummary|BenchmarkQueryCached|BenchmarkStoreRegionAggregates|BenchmarkGenerationOfScope|BenchmarkStoreAppendMonitorTick|BenchmarkStoreAppendProbesBatchParallel|BenchmarkWALAppend|BenchmarkReplay|BenchmarkFeedPublish|BenchmarkFeedFanout|BenchmarkAdvise|BenchmarkPriceStatsIn|BenchmarkSpikesInWindow|BenchmarkEventsSince|BenchmarkObsOverhead
 
 # Benchmark iteration control. The CI smoke keeps the 1x default (it only
 # proves the benchmarks run); any measurement that will be *compared* —
@@ -49,7 +49,7 @@ fmt-check:
 	fi
 
 # Benchmark smoke: compile and run each perf-critical query path once
-# (BenchmarkQueryStable matches the cached variant too). Capture-then-cat
+# (BenchmarkQueryStable matches the parallel variant too). Capture-then-cat
 # instead of tee so the exit status survives /bin/sh.
 bench:
 	@$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -run='^$$' . >bench-smoke.txt 2>&1; \

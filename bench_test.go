@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -570,13 +571,12 @@ func BenchmarkServiceTick(b *testing.B) {
 }
 
 // BenchmarkQueryStable measures the paper's example query over a seeded
-// store, with the response cache disabled: this is the raw cost of one
-// ranking computation.
+// store, straight on the engine (which caches nothing): this is the raw
+// cost of one ranking computation.
 func BenchmarkQueryStable(b *testing.B) {
 	st := benchStudy(b)
 	from, to := st.Window()
 	engine := query.NewEngine(st.DB, st.Cat)
-	engine.SetCaching(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -584,33 +584,12 @@ func BenchmarkQueryStable(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkQueryStableCached measures the same query with the
-// generation-keyed response cache on: after the first computation every
-// repeat is a scope-generation walk plus a map hit — the serving cost of
-// a dashboard polling an unchanged window.
-func BenchmarkQueryStableCached(b *testing.B) {
-	st := benchStudy(b)
-	from, to := st.Window()
-	engine := query.NewEngine(st.DB, st.Cat)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.TopStableMarkets("us-east-1", market.ProductLinux, 10, from, to); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	hits, misses := engine.CacheStats()
-	b.ReportMetric(float64(hits), "cache_hits")
-	b.ReportMetric(float64(misses), "cache_misses")
 }
 
 // BenchmarkAdvise measures one cold decision-layer ranking: a fresh
 // advisor walks every priced market of the study, applies the workload
 // constraints, and scores/sorts the admissible set — the cost of a
-// /v2/advise that misses the memo.
+// /v2/advise that misses the response cache.
 func BenchmarkAdvise(b *testing.B) {
 	st := benchStudy(b)
 	from, to := st.Window()
@@ -634,28 +613,50 @@ func BenchmarkAdvise(b *testing.B) {
 	b.ReportMetric(float64(n), "candidates")
 }
 
-// BenchmarkAdviseCached measures the same ranking with the
-// generation-keyed memo warm: each repeat is a scope-generation sum plus
-// a map probe — the serving cost of a fleet manager calling the advisor
-// every tick against an unchanged store.
-func BenchmarkAdviseCached(b *testing.B) {
+// BenchmarkQueryCached measures a full HTTP round trip through the API
+// handler against a warm response cache — the serving cost of a
+// dashboard, or a fleet manager, polling an unchanged question: spec
+// parse, the scope-generation read and ETag hash, one cache probe, and
+// the JSON encode of the cached result.
+func BenchmarkQueryCached(b *testing.B) {
 	st := benchStudy(b)
 	from, to := st.Window()
-	adv := advisor.New(st.DB, st.Cat)
-	cons, err := adv.Normalize(api.AdviseConstraints{
-		Regions:  []string{"us-east-1"},
-		Products: []string{string(market.ProductLinux)},
-		MinVCPU:  4,
-		N:        10,
-	})
-	if err != nil {
-		b.Fatal(err)
+	wide, base := benchWideStore(1000)
+	cases := []struct {
+		name         string
+		db           *store.Store
+		cat          *market.Catalog
+		now          time.Time
+		method, path string
+		body         string
+	}{
+		{"stable", st.DB, st.Cat, to, http.MethodGet,
+			"/v1/stable?region=us-east-1&product=Linux%2FUNIX&n=10&from=" +
+				from.Format(time.RFC3339) + "&to=" + to.Format(time.RFC3339), ""},
+		{"summary", wide, market.New(), base.Add(24 * time.Hour), http.MethodGet, "/v1/summary", ""},
+		{"advise", st.DB, st.Cat, to, http.MethodPost, "/v2/advise",
+			`{"regions":["us-east-1"],"products":["Linux/UNIX"],"minVCPU":4,"n":10,"from":"` +
+				from.Format(time.RFC3339) + `","to":"` + to.Format(time.RFC3339) + `"}`},
 	}
-	adv.Advise(cons, from, to) // warm the memo
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adv.Advise(cons, from, to)
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			a := query.NewAPI(query.NewEngine(c.db, c.cat), func() time.Time { return c.now })
+			defer a.Shutdown()
+			h := a.Handler()
+			serve := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s status = %d: %s", c.name, rec.Code, rec.Body)
+				}
+			}
+			serve() // warm the cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
 	}
 }
 
@@ -940,12 +941,11 @@ func copyBenchDir(b *testing.B, src string) string {
 // BenchmarkQueryStableParallel measures concurrent readers running the
 // paper's example query against the shared study store — the serving
 // pattern of an Engine answering many SpotCheck/SpotOn clients at once.
-// Caching is off: every reader recomputes.
+// The engine caches nothing: every reader recomputes.
 func BenchmarkQueryStableParallel(b *testing.B) {
 	st := benchStudy(b)
 	from, to := st.Window()
 	engine := query.NewEngine(st.DB, st.Cat)
-	engine.SetCaching(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -1019,26 +1019,9 @@ func benchWideStore(nMarkets int) (*store.Store, time.Time) {
 }
 
 // BenchmarkQuerySummary measures the per-region summary over 1000 markets
-// with the response cache off: the engine reads the O(regions) rollup
-// entries, never touching a market shard.
+// straight on the engine: it reads the O(regions) rollup entries, never
+// touching a market shard.
 func BenchmarkQuerySummary(b *testing.B) {
-	db, base := benchWideStore(1000)
-	engine := query.NewEngine(db, market.New())
-	engine.SetCaching(false)
-	now := base.Add(24 * time.Hour)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := engine.Summary(now); len(rows) == 0 {
-			b.Fatal("empty summary")
-		}
-	}
-}
-
-// BenchmarkQuerySummaryCached is the same query with caching on and a
-// fixed clock: after the first fold every repeat is a generation load
-// plus a map hit.
-func BenchmarkQuerySummaryCached(b *testing.B) {
 	db, base := benchWideStore(1000)
 	engine := query.NewEngine(db, market.New())
 	now := base.Add(24 * time.Hour)

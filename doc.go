@@ -24,8 +24,8 @@
 //     written in the same batch round as each append, periodic
 //     snapshot + compaction, and crash recovery that replays
 //     snapshot-then-WAL (docs/persistence.md)
-//   - internal/query       — query engine (with a generation-keyed
-//     response cache) + the versioned HTTP API: GET /v1/* adapters, the
+//   - internal/query       — query engine + the versioned HTTP API, with
+//     one ETag-keyed response cache for every kind: GET /v1/* adapters, the
 //     POST /v2/query batch endpoint, POST /v2/advise, the GET /v2/watch
 //     Server-Sent Events stream with Last-Event-ID resume, and
 //     GET /v2/health, all over the typed DTOs of pkg/api (full
@@ -33,8 +33,8 @@
 //   - internal/advisor     — the decision layer: ranks spot markets
 //     against workload constraints (capacity floors, price and
 //     interruption ceilings, region/product sets) by a composite score
-//     over the store's rollups, memoized per scope generation; served
-//     as POST /v2/advise (docs/advisor.md)
+//     over the store's rollups, keyed by its scope generation in the
+//     API's response cache; served as POST /v2/advise (docs/advisor.md)
 //   - internal/fleet       — simulated fleet manager consuming the
 //     advisor and the store change feed: event-steered migration off
 //     revoked/spiking markets, on-demand fallback and repatriation, and

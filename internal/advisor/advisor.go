@@ -14,10 +14,9 @@ package advisor
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"spotlight/internal/market"
@@ -67,42 +66,18 @@ type Constraints struct {
 	N int
 }
 
-// Advisor ranks spot markets against workload constraints. Safe for
-// concurrent use; results are memoized per (constraints, window) keyed by
-// the store generation of the constraint scope, so a cached answer stays
-// valid exactly until an append lands inside the regions it read.
+// Advisor ranks spot markets against workload constraints. It is a plain
+// function of the store and the catalog, safe for concurrent use;
+// repeated rankings are cached one layer up, in the query API's response
+// cache, keyed by ScopeGen among the other inputs.
 type Advisor struct {
 	db  *store.Store
 	cat *market.Catalog
-
-	mu      sync.Mutex
-	entries map[string]advEntry
-
-	// memoHits/memoMisses count Advise calls answered from the memo vs
-	// ranked fresh — already-atomic, so the metrics layer exposes them as
-	// scrape-time collectors with zero extra cost per Advise.
-	memoHits   atomic.Uint64
-	memoMisses atomic.Uint64
 }
-
-type advEntry struct {
-	gen uint64
-	val []api.AdviseCandidate
-}
-
-// cacheMax bounds the memo map; on overflow it resets wholesale, matching
-// the query-layer resultCache policy.
-const cacheMax = 256
 
 // New builds an Advisor over the store and catalog.
 func New(db *store.Store, cat *market.Catalog) *Advisor {
-	return &Advisor{db: db, cat: cat, entries: make(map[string]advEntry)}
-}
-
-// MemoStats returns how many Advise calls hit the generation-keyed memo
-// versus ranked fresh. Hits+misses is the total rankings served.
-func (a *Advisor) MemoStats() (hits, misses uint64) {
-	return a.memoHits.Load(), a.memoMisses.Load()
+	return &Advisor{db: db, cat: cat}
 }
 
 // Normalize validates wire constraints against the catalog and converts
@@ -132,14 +107,7 @@ func (a *Advisor) Normalize(c api.AdviseConstraints) (Constraints, error) {
 		seen := make(map[market.Product]bool, len(c.Products))
 		for _, p := range c.Products {
 			prod := market.Product(p)
-			known := false
-			for _, have := range market.Products {
-				if prod == have {
-					known = true
-					break
-				}
-			}
-			if !known {
+			if !slices.Contains(market.Products, prod) {
 				return out, &BadConstraintError{Param: "products", Msg: fmt.Sprintf("unknown product %q", p)}
 			}
 			if !seen[prod] {
@@ -187,7 +155,7 @@ func (a *Advisor) Normalize(c api.AdviseConstraints) (Constraints, error) {
 // these constraints can read: the sum of the per-region scope generations
 // when the region set is restricted (each is an append count, so the sum
 // moves on any append in scope), the global generation otherwise. It is
-// the cache-validity token for both the memo below and the HTTP ETag.
+// the scope part of the advise spec's ETag and response-cache key.
 func (a *Advisor) ScopeGen(c Constraints) uint64 {
 	if len(c.Regions) == 0 {
 		return a.db.GlobalGeneration()
@@ -197,53 +165,6 @@ func (a *Advisor) ScopeGen(c Constraints) uint64 {
 		sum += a.db.GenerationOfScope(r, "")
 	}
 	return sum
-}
-
-// Advise ranks the markets satisfying c by composite score over [from,
-// to]. Only markets with at least one recorded price sample inside the
-// window are candidates — the advisor recommends from its own evidence,
-// never from catalog price sheets alone. An empty result is a valid
-// answer. The returned slice is shared with the memo; callers must not
-// mutate it.
-func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidate {
-	gen := a.ScopeGen(c) // read before compute: an append racing the fold keys the entry stale
-	key := cacheKey(c, from, to)
-
-	a.mu.Lock()
-	if e, ok := a.entries[key]; ok && e.gen == gen {
-		a.mu.Unlock()
-		a.memoHits.Add(1)
-		return e.val
-	}
-	a.mu.Unlock()
-	a.memoMisses.Add(1)
-
-	val := a.rank(c, from, to)
-
-	a.mu.Lock()
-	if len(a.entries) >= cacheMax {
-		a.entries = make(map[string]advEntry)
-	}
-	a.entries[key] = advEntry{gen: gen, val: val}
-	a.mu.Unlock()
-	return val
-}
-
-func cacheKey(c Constraints, from, to time.Time) string {
-	var b strings.Builder
-	for _, r := range c.Regions {
-		b.WriteString(string(r))
-		b.WriteByte(',')
-	}
-	b.WriteByte('|')
-	for _, p := range c.Products {
-		b.WriteString(string(p))
-		b.WriteByte(',')
-	}
-	fmt.Fprintf(&b, "|%s|%d|%g|%g|%g|%d|%d|%d",
-		c.TypePattern, c.MinVCPU, c.MinMemoryGB, c.MaxPrice, c.MaxInterruption, c.N,
-		from.UnixNano(), to.UnixNano())
-	return b.String()
 }
 
 // Scoring weights: savings dominate (the reason to run spot at all), then
@@ -257,7 +178,12 @@ const (
 	outagePenalty   = 0.5
 )
 
-func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate {
+// Advise ranks the markets satisfying c by composite score over [from,
+// to]. Only markets with at least one recorded price sample inside the
+// window are candidates — the advisor recommends from its own evidence,
+// never from catalog price sheets alone. An empty result is a valid
+// answer.
+func (a *Advisor) Advise(c Constraints, from, to time.Time) []api.AdviseCandidate {
 	window := to.Sub(from)
 	if window <= 0 {
 		return []api.AdviseCandidate{}
@@ -352,10 +278,10 @@ func (a *Advisor) rank(c Constraints, from, to time.Time) []api.AdviseCandidate 
 // admissible applies the catalog-side filters: region set, product set,
 // type pattern, and capacity floors.
 func (a *Advisor) admissible(id market.SpotID, c Constraints) bool {
-	if len(c.Regions) > 0 && !containsRegion(c.Regions, id.Region()) {
+	if len(c.Regions) > 0 && !slices.Contains(c.Regions, id.Region()) {
 		return false
 	}
-	if len(c.Products) > 0 && !containsProduct(c.Products, id.Product) {
+	if len(c.Products) > 0 && !slices.Contains(c.Products, id.Product) {
 		return false
 	}
 	if !typeMatches(c.TypePattern, id.Type) {
@@ -387,24 +313,6 @@ func typeMatches(pattern string, t market.InstanceType) bool {
 		return err == nil && ok
 	}
 	return pattern == string(t)
-}
-
-func containsRegion(rs []market.Region, r market.Region) bool {
-	for _, have := range rs {
-		if have == r {
-			return true
-		}
-	}
-	return false
-}
-
-func containsProduct(ps []market.Product, p market.Product) bool {
-	for _, have := range ps {
-		if have == p {
-			return true
-		}
-	}
-	return false
 }
 
 func clamp01(v float64) float64 {

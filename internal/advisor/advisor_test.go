@@ -62,8 +62,8 @@ func TestNormalizeDefaultsAndAll(t *testing.T) {
 	if len(c.Regions) != 0 {
 		t.Errorf(`regions ["all"] normalized to %v, want unrestricted`, c.Regions)
 	}
-	// Duplicates collapse and the set sorts, so equivalent spellings share
-	// one memo entry.
+	// Duplicates collapse and the set sorts, so equivalent spellings rank
+	// and scope identically.
 	c, err = a.Normalize(api.AdviseConstraints{Regions: []string{"us-west-2", "us-east-1", "us-west-2"}})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,10 @@ func TestAdviseInterruptionAndOutageSignals(t *testing.T) {
 	}
 }
 
-func TestAdviseMemoTracksGeneration(t *testing.T) {
+// TestScopeGenTracksScopedAppends: the scope generation — the advise
+// spec's share of its ETag and response-cache key — moves on every append
+// inside the constraint's region set and on no append outside it.
+func TestScopeGenTracksScopedAppends(t *testing.T) {
 	a, db := newAdvisor(t)
 	recordFlat(db, mktSmall, 0.02)
 	cons, err := a.Normalize(api.AdviseConstraints{Regions: []string{"us-east-1"}})
@@ -267,18 +270,20 @@ func TestAdviseMemoTracksGeneration(t *testing.T) {
 	if len(first) != 1 {
 		t.Fatalf("candidates = %d, want 1", len(first))
 	}
-	// Unchanged store: the memoized slice comes back as-is.
-	if again := a.Advise(cons, from, to); &again[0] != &first[0] {
-		t.Error("unchanged store did not serve the memoized ranking")
-	}
-	// An in-scope append invalidates; the recomputation sees the new sample.
+
+	// An in-scope append moves the token; the ranking sees the new sample.
+	tok := a.ScopeGen(cons)
 	db.RecordPrice(mktSmall, store.PricePoint{At: t0.Add(90 * time.Minute), Price: 0.10})
+	if got := a.ScopeGen(cons); got == tok {
+		t.Errorf("us-east-1 scope generation did not move on a us-east-1 append (%d)", got)
+	}
 	after := a.Advise(cons, from, to)
 	if len(after) != 1 || after[0].PriceSamples != first[0].PriceSamples+1 {
 		t.Errorf("post-append samples = %+v, want one more than %d", after, first[0].PriceSamples)
 	}
-	// An out-of-scope append leaves the region-scoped memo valid.
-	tok := a.ScopeGen(cons)
+
+	// An out-of-scope append leaves the token alone.
+	tok = a.ScopeGen(cons)
 	db.RecordPrice(mktWest, store.PricePoint{At: t0, Price: 0.05})
 	if got := a.ScopeGen(cons); got != tok {
 		t.Errorf("us-east-1 scope generation moved on a us-west-2 append: %d -> %d", tok, got)

@@ -32,9 +32,6 @@ type Config struct {
 	DB *store.Store
 	// Cat is the market catalog.
 	Cat *market.Catalog
-	// Advisor, when set, is shared (e.g. the query engine's); nil builds
-	// a private one over DB/Cat.
-	Advisor *advisor.Advisor
 	// Constraints is the workload description placements must satisfy.
 	Constraints api.AdviseConstraints
 	// Target is the desired instance count.
@@ -114,6 +111,10 @@ type Manager struct {
 	sub   *store.Subscription
 	slots []slot
 
+	// ranked is this Step's advisor ranking, computed by the first
+	// placement that needs it (nil until then) and reused by the rest.
+	ranked []api.AdviseCandidate
+
 	// avoid maps event-flagged markets to the instant the flag expires;
 	// outage tracks feed-reported open spot outages.
 	avoid  map[market.SpotID]time.Time
@@ -153,10 +154,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.RepatriateEvery <= 0 {
 		cfg.RepatriateEvery = 12
 	}
-	adv := cfg.Advisor
-	if adv == nil {
-		adv = advisor.New(cfg.DB, cfg.Cat)
-	}
+	adv := advisor.New(cfg.DB, cfg.Cat)
 	wire := cfg.Constraints
 	wire.N = advisor.MaxN
 	cons, err := adv.Normalize(wire)
@@ -198,6 +196,7 @@ func (m *Manager) subscribe() {
 // after the monitoring service's OnTick so the tick's events are visible.
 func (m *Manager) Step(now time.Time) {
 	m.tick++
+	m.ranked = nil
 	revokedBefore := m.m.Revocations
 	m.drainEvents(now)
 	m.expireAvoids(now)
@@ -454,11 +453,14 @@ func (m *Manager) acquireOnDemand(now time.Time) (slot, bool) {
 	return slot{}, false
 }
 
-// candidates asks the advisor for the ranked markets over the trailing
-// window. The advisor memoizes per generation, so repeated calls within
-// one tick cost one map probe.
+// candidates returns the advisor's ranked markets over the trailing
+// window, ranking at most once per Step: the window moves with now every
+// tick, so one ranking serves every placement the Step makes.
 func (m *Manager) candidates(now time.Time) []api.AdviseCandidate {
-	return m.adv.Advise(m.cons, now.Add(-m.cfg.Window), now)
+	if m.ranked == nil {
+		m.ranked = m.adv.Advise(m.cons, now.Add(-m.cfg.Window), now)
+	}
+	return m.ranked
 }
 
 // release terminates a live instance and bills its runtime (user

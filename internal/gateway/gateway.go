@@ -204,7 +204,7 @@ func (g *Gateway) route(q api.Query) (node int, fan bool) {
 	}
 	// Scope-less on a replica fleet (or catalog-backed kinds anywhere):
 	// any node can answer; hash the spec so the same question keeps
-	// hitting the same node's memoization cache.
+	// hitting the same node's response cache.
 	return g.ring.pick(string(q.Kind) + "|" + q.Region + "|" + q.Product + "|" + strconv.Itoa(q.N)), false
 }
 
@@ -299,7 +299,7 @@ func (g *Gateway) scatter(ctx context.Context, queries []api.Query) ([]api.Resul
 		c.queries = append(c.queries, q)
 	}
 
-	cctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
+	cctx, cancel := context.WithTimeoutCause(ctx, g.cfg.Timeout, errUpstreamTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	for n, call := range calls {
@@ -610,7 +610,7 @@ func mergeAdvise(lists []*api.AdviseResult, n int) *api.AdviseResult {
 
 // handleAdvise routes POST /v2/advise. On a replica fleet the request
 // forwards whole to one node picked by hashing the constraint body —
-// repeated asks hit the same node's advise memo, the node's ETag passes
+// repeated asks hit the same node's response cache, the node's ETag passes
 // through untouched, and a dead node fails over to a healthy peer (the
 // advise read is idempotent, so re-sending the buffered body is safe).
 // On a partitioned fleet no single node has every market's price
@@ -788,7 +788,7 @@ func (g *Gateway) v1Fanout(w http.ResponseWriter, r *http.Request, kind api.Kind
 // concurrently, the worst node status wins, and the per-node breakdown
 // rides in the gateway arm.
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	cctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
+	cctx, cancel := context.WithTimeoutCause(r.Context(), g.cfg.Timeout, errUpstreamTimeout)
 	defer cancel()
 	nodes := make([]api.NodeHealth, len(g.clients))
 	var (
@@ -805,7 +805,9 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				nh.Status = "unreachable"
 				nh.Error = err.Error()
-				g.health.fail(i)
+				if !abandoned(cctx) {
+					g.health.fail(i)
+				}
 			} else {
 				nh.Status = h.Status
 				nh.Generation = h.Store.Generation

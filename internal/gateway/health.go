@@ -126,6 +126,20 @@ func (t *tracker) snapshot(i int) (state string, fails int) {
 	return state, s.fails
 }
 
+// errUpstreamTimeout is the cause the gateway attaches to its own
+// upstream deadline, which tells a node too slow to answer (a failure)
+// apart from a caller that stopped waiting (not the node's doing).
+var errUpstreamTimeout = errors.New("gateway: upstream timeout")
+
+// abandoned reports whether a failed upstream call under ctx failed
+// because its caller stopped waiting — the client hung up, or a sibling
+// attempt already answered — rather than because of the node. Such a
+// call records neither success nor failure on the node's breaker; only
+// the gateway's own timeout (errUpstreamTimeout) still counts as one.
+func abandoned(ctx context.Context) bool {
+	return ctx.Err() != nil && context.Cause(ctx) != errUpstreamTimeout
+}
+
 // nodeAlive classifies a batch-call error: an *api.Error other than
 // "internal" means the node answered — it is healthy, the query was bad
 // — while transport failures and node-internal errors count against the
@@ -203,8 +217,11 @@ type batchAttempt struct {
 // start at the candidates in order — the next one launched when the
 // previous fails, or early when HedgeAfter elapses without an answer
 // (the hedge duplicates an idempotent read, so the only cost is load) —
-// and the first success wins. Outcomes feed the breakers.
+// and the first success wins, cancelling the rest. Outcomes feed the
+// breakers, except those of attempts nobody was waiting for any more.
 func (g *Gateway) batchNode(ctx context.Context, primary int, queries []api.Query) batchAttempt {
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
 	cands := g.pickCandidates(primary)
 	results := make(chan batchAttempt, len(cands))
 	launched := 0
@@ -214,6 +231,11 @@ func (g *Gateway) batchNode(ctx context.Context, primary int, queries []api.Quer
 		go func() {
 			start := time.Now()
 			resp, etag, err := g.clients[n].BatchTagged(ctx, queries...)
+			if err != nil && abandoned(ctx) {
+				g.metrics.observeAbandoned(n)
+				results <- batchAttempt{node: n, err: err}
+				return
+			}
 			alive := err == nil || nodeAlive(err)
 			g.metrics.observeUpstream(n, time.Since(start), alive)
 			if alive {
@@ -246,7 +268,7 @@ func (g *Gateway) batchNode(ctx context.Context, primary int, queries []api.Quer
 			if first.err == nil {
 				first = a
 			}
-			if launched < len(cands) {
+			if launched < len(cands) && ctx.Err() == nil {
 				g.metrics.retries.Inc()
 				launch()
 			} else if got == launched {
@@ -272,8 +294,10 @@ func (g *Gateway) batchNode(ctx context.Context, primary int, queries []api.Quer
 // candidate nodes in order, copying the first usable answer — status,
 // headers (ETags included), body — back to the client. A transport
 // error or 5xx moves on to the next candidate and feeds the breaker; a
-// 2xx/3xx/4xx is the node's real answer and relays as-is. This replaces
-// the single-shot ReverseProxy for everything except streaming.
+// 2xx/3xx/4xx is the node's real answer and relays as-is. A transport
+// error after the caller hung up ends the relay without blaming the node.
+// This replaces the single-shot ReverseProxy for everything except
+// streaming.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, primary int, body []byte) {
 	cands := g.pickCandidates(primary)
 	var lastErr error
@@ -282,7 +306,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, primary int, b
 		if k > 0 {
 			g.metrics.retries.Inc()
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
+		ctx, cancel := context.WithTimeoutCause(r.Context(), g.cfg.Timeout, errUpstreamTimeout)
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
@@ -296,6 +320,11 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, primary int, b
 		copyHeader(req.Header, r.Header)
 		start := time.Now()
 		resp, err := g.httpClient().Do(req)
+		if err != nil && abandoned(ctx) {
+			g.metrics.observeAbandoned(n)
+			cancel()
+			return
+		}
 		if err != nil {
 			g.metrics.observeUpstream(n, time.Since(start), false)
 			cancel()

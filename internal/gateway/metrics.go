@@ -23,18 +23,20 @@ type gwMetrics struct {
 	hedges        *obs.Counter
 	partialMerges *obs.Counter
 
-	upstreamSeconds []*obs.Histogram
-	upstreamOK      []*obs.Counter
-	upstreamErr     []*obs.Counter
-	breakerOpens    []*obs.Counter
+	upstreamSeconds  []*obs.Histogram
+	upstreamOK       []*obs.Counter
+	upstreamErr      []*obs.Counter
+	upstreamCanceled []*obs.Counter
+	breakerOpens     []*obs.Counter
 }
 
 func newGwMetrics(n int) *gwMetrics {
 	return &gwMetrics{
-		upstreamSeconds: make([]*obs.Histogram, n),
-		upstreamOK:      make([]*obs.Counter, n),
-		upstreamErr:     make([]*obs.Counter, n),
-		breakerOpens:    make([]*obs.Counter, n),
+		upstreamSeconds:  make([]*obs.Histogram, n),
+		upstreamOK:       make([]*obs.Counter, n),
+		upstreamErr:      make([]*obs.Counter, n),
+		upstreamCanceled: make([]*obs.Counter, n),
+		breakerOpens:     make([]*obs.Counter, n),
 	}
 }
 
@@ -46,6 +48,13 @@ func (m *gwMetrics) observeUpstream(n int, d time.Duration, ok bool) {
 	} else {
 		m.upstreamErr[n].Inc()
 	}
+}
+
+// observeAbandoned records an upstream attempt against node n that its
+// caller stopped waiting for: counted apart from ok and error, and left
+// out of the latency histogram, whose sample it would truncate.
+func (m *gwMetrics) observeAbandoned(n int) {
+	m.upstreamCanceled[n].Inc()
 }
 
 // EnableMetrics registers the gateway's series in reg and arms the
@@ -68,12 +77,11 @@ func (g *Gateway) EnableMetrics(reg *obs.Registry) {
 	for i, node := range g.cfg.Nodes {
 		m.upstreamSeconds[i] = reg.Histogram("spotlight_gateway_upstream_seconds",
 			"Latency of one upstream call, per node.", "node", node)
-		m.upstreamOK[i] = reg.Counter("spotlight_gateway_upstream_requests_total",
-			"Upstream calls by node and outcome (ok: the node answered, even with a query-level error).",
-			"node", node, "outcome", "ok")
-		m.upstreamErr[i] = reg.Counter("spotlight_gateway_upstream_requests_total",
-			"Upstream calls by node and outcome (ok: the node answered, even with a query-level error).",
-			"node", node, "outcome", "error")
+		const help = "Upstream calls by node and outcome (ok: the node answered, even with a query-level error; " +
+			"canceled: the caller stopped waiting first)."
+		m.upstreamOK[i] = reg.Counter("spotlight_gateway_upstream_requests_total", help, "node", node, "outcome", "ok")
+		m.upstreamErr[i] = reg.Counter("spotlight_gateway_upstream_requests_total", help, "node", node, "outcome", "error")
+		m.upstreamCanceled[i] = reg.Counter("spotlight_gateway_upstream_requests_total", help, "node", node, "outcome", "canceled")
 		m.breakerOpens[i] = reg.Counter("spotlight_gateway_breaker_opens_total",
 			"Closed-to-open breaker transitions, per node.", "node", node)
 		i := i

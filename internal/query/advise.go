@@ -13,8 +13,8 @@ import (
 // The advise surface: POST /v2/advise is a dedicated endpoint for the
 // decision layer, but it is a thin wrapper — the body's constraints are
 // folded into an api.Query spec and evaluated on the same exec path as
-// the KindAdvise arm of the batch envelope, with the same ETag/304
-// treatment every other query gets.
+// the KindAdvise arm of the batch envelope, with the same response cache
+// and ETag/304 treatment every other query gets.
 
 // defaultAdviseWindow is the history window when the request omits one:
 // the advisor's statistics cover the trailing day.
@@ -34,14 +34,18 @@ func (a *API) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	q := api.Query{Kind: api.KindAdvise, Window: req.Window, Advise: &req.AdviseConstraints}
 	now := a.Now()
-	etag := a.etagFor([]api.Query{q}, now)
+	key := a.specKey(q, now)
+	etag := a.etagFor(key)
 	if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
 		w.Header().Set(api.HeaderETag, etag)
 		a.setCacheControl(w)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	res := a.exec(q, now)
+	res, hit := a.cache.get(key)
+	if !hit {
+		res = a.fill(q, key, now)
+	}
 	if res.Error != nil {
 		writeAPIErr(w, res.Error)
 		return

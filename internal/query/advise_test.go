@@ -214,3 +214,35 @@ func TestBatchAdvise(t *testing.T) {
 		t.Errorf("bad-region arm = %+v, want bad_param", bad)
 	}
 }
+
+// TestAdviseWindowZoneSameTagAndBody: one absolute window written in two
+// UTC offsets is one question — it gets one ETag and one byte-identical
+// body, so a node answering from its cache and a node computing fresh
+// cannot disagree about how the echoed window is spelled. Each form is
+// evaluated fresh, on its own node over the same store.
+func TestAdviseWindowZoneSameTagAndBody(t *testing.T) {
+	db := store.New()
+	seedAdvisePrices(db)
+	clock := t0.Add(24 * time.Hour)
+	plus2 := time.FixedZone("+02:00", 2*60*60)
+	cons := api.AdviseConstraints{Regions: []string{"us-east-1"}}
+	var recs []*httptest.ResponseRecorder
+	for _, w := range []api.Window{
+		api.Between(t0, t0.Add(24*time.Hour)),
+		api.Between(t0.In(plus2), t0.Add(24*time.Hour).In(plus2)),
+	} {
+		a := cacheAPI(db, &clock)
+		a.SetETagSalt(1) // a shared salt, as on replicas of one durable store
+		recs = append(recs, adviseProbe(t, a, api.AdviseRequest{AdviseConstraints: cons, Window: w}).do(t))
+	}
+	utc, local := recs[0], recs[1]
+	if et := utc.Header().Get(api.HeaderETag); et == "" || local.Header().Get(api.HeaderETag) != et {
+		t.Errorf("ETags %q vs %q, want equal", et, local.Header().Get(api.HeaderETag))
+	}
+	if !bytes.Equal(utc.Body.Bytes(), local.Body.Bytes()) {
+		t.Errorf("bodies differ:\nZ      %s\n+02:00 %s", utc.Body, local.Body)
+	}
+	if !bytes.Contains(utc.Body.Bytes(), []byte(`"from":"2015-09-01T00:00:00Z"`)) {
+		t.Errorf("window echo not in UTC: %s", utc.Body)
+	}
+}

@@ -2,100 +2,81 @@ package query
 
 import (
 	"sync"
-	"sync/atomic"
+	"time"
+
+	"spotlight/pkg/api"
 )
 
-// resultCache memoizes query results keyed by the query's parameters plus
-// the store generation of the shards the query reads (its scope). A hit
-// requires the stored generation to equal the scope's current generation,
-// so the cache never needs explicit eviction on write: an append inside
-// the scope bumps exactly that scope's generation and the stale entry
-// simply stops matching, while appends to unrelated shards leave the
-// entry valid — per-shard invalidation for free.
+// resultCache is the API's one response cache: evaluated results keyed by
+// each spec's ETag preimage (specKey) — its parameters, the generation of
+// the shards its answer reads, and the clock when the answer depends on
+// it. That is exactly the value a conditional request trusts (equal tag ⇒
+// equal body), so a hit is as sound as a 304. The cache never needs
+// explicit eviction on write: an append inside a spec's scope bumps the
+// scope generation, the spec's key changes with it, and the stale entry
+// is simply never probed again, while appends to unrelated shards leave
+// the entry reachable — per-shard invalidation for free.
 //
-// Values are stored and returned by reference; callers must treat cached
-// results as immutable.
+// Results are stored and returned by reference; nothing on the serving
+// path mutates an api.Result after exec builds it.
 type resultCache struct {
-	mu      sync.Mutex
-	entries map[string]cacheEntry
-	max     int
-
+	mu           sync.Mutex
+	entries      map[string]api.Result
 	hits, misses uint64
-
-	// fastHits/fastMisses count probes of lock-free single-slot caches
-	// (the engine's Summary slot) that bypass the keyed map; stats()
-	// folds them in so observability covers both tiers.
-	fastHits, fastMisses atomic.Uint64
 }
 
-type cacheEntry struct {
-	gen uint64
-	val any
+// cacheSize bounds the entry map. Distinct specs on a serving node are
+// few — applications poll the same dashboards — so the bound exists only
+// to survive key churn: adversarial specs, or the dead keys an advancing
+// clock and rotating generations leave behind.
+const cacheSize = 1024
+
+func newResultCache() *resultCache {
+	return &resultCache{entries: make(map[string]api.Result)}
 }
 
-// defaultCacheSize bounds the entry map. Distinct (query, window) pairs on
-// a serving engine are few — applications poll the same dashboards —
-// so the bound exists only to survive adversarial key churn.
-const defaultCacheSize = 1024
-
-func newResultCache(max int) *resultCache {
-	if max <= 0 {
-		max = defaultCacheSize
-	}
-	return &resultCache{entries: make(map[string]cacheEntry), max: max}
-}
-
-// get returns the cached value for key if it was stored at generation gen.
-func (c *resultCache) get(key string, gen uint64) (any, bool) {
+// get returns the cached result for key.
+func (c *resultCache) get(key string) (api.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.gen != gen {
+	res, ok := c.entries[key]
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return nil, false
 	}
-	c.hits++
-	return e.val, true
+	return res, ok
 }
 
-// put stores val for key at generation gen. When the map is full it is
-// reset wholesale: entries re-fill on demand and the reset path is cheaper
-// and simpler than tracking recency for a cache this small.
-func (c *resultCache) put(key string, gen uint64, val any) {
+// put stores res for key. When the map is full it is reset wholesale:
+// entries re-fill on demand and the reset path is cheaper and simpler
+// than tracking recency for a cache this small.
+func (c *resultCache) put(key string, res api.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.entries) >= c.max {
-		c.entries = make(map[string]cacheEntry)
+	if len(c.entries) >= cacheSize {
+		c.entries = make(map[string]api.Result)
 	}
-	c.entries[key] = cacheEntry{gen: gen, val: val}
+	c.entries[key] = res
 }
 
-// memoize serves key from the cache when it is valid at gen, and
-// otherwise computes, stores, and returns the value. It owns the one
-// ordering rule every cached query must respect: the caller reads the
-// scope generation *before* calling (gen is a parameter), compute runs
-// after, so an append racing the computation leaves the entry keyed at
-// the older generation and the next lookup recomputes instead of serving
-// stale data. A nil cache just computes.
-func memoize[T any](c *resultCache, key string, gen uint64, compute func() (T, error)) (T, error) {
-	if c == nil {
-		return compute()
-	}
-	if v, ok := c.get(key, gen); ok {
-		return v.(T), nil
-	}
-	val, err := compute()
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	c.put(key, gen, val)
-	return val, nil
-}
-
-// stats returns the hit/miss counters (test and benchmark visibility).
+// stats returns the hit/miss counters.
 func (c *resultCache) stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits + c.fastHits.Load(), c.misses + c.fastMisses.Load()
+	return c.hits, c.misses
+}
+
+// fill evaluates q at now after a cache miss on key and stores the result.
+// Error results are never stored: they are cheap to recompute, and
+// keeping them would let a burst of malformed specs flush the answers
+// worth keeping. The key's generation was read before exec runs, so an
+// append racing the evaluation leaves the entry under the older key and
+// the next request, reading the newer generation, recomputes.
+func (a *API) fill(q api.Query, key string, now time.Time) api.Result {
+	res := a.exec(q, now)
+	if res.Error == nil {
+		a.cache.put(key, res)
+	}
+	return res
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"strings"
 	"time"
 
@@ -77,33 +78,43 @@ func dependsOnNow(q api.Query) bool {
 		(q.Kind == api.KindAdvise && q.Window.IsZero())
 }
 
-// etagFor computes the strong ETag of a query set evaluated at service
-// clock now: an FNV-64a hash over the process boot epoch, every spec's
-// parameters and scope generation, plus the clock when any spec depends
-// on it. Within one process, identical specs against an unchanged scope
-// (and unchanged clock, where it matters) produce the identical tag;
-// across restarts the epoch salt retires every outstanding tag, because
+// specKey returns one spec's ETag preimage evaluated at service clock
+// now: its parameters and scope generation, plus the clock when the
+// answer depends on it. Strings are quoted so no two specs share a key.
+// The preimage is computed once per spec per request and serves twice: it
+// feeds etagFor, and it is the spec's response-cache key — equal keys
+// name the same answer, which is the promise every 304 already rests on.
+func (a *API) specKey(q api.Query, now time.Time) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q|%q|%q|%q|%q|%d|%g|%q|%g|%d|%d|%q|%d",
+		q.Kind, q.Market, q.Region, q.Product, q.Contract, q.N,
+		q.Ratio, q.Horizon, q.Utilization,
+		q.From.UnixNano(), q.To.UnixNano(), q.Rel,
+		a.queryScopeGen(q))
+	if c := q.Advise; c != nil {
+		fmt.Fprintf(&b, "|advise|%q|%q|%q|%d|%g|%g|%g|%d",
+			c.Regions, c.Products,
+			c.InstanceTypes, c.MinVCPU, c.MinMemoryGB,
+			c.MaxPricePerHour, c.MaxInterruptionRate, c.N)
+	}
+	if dependsOnNow(q) {
+		fmt.Fprintf(&b, "|now|%d", now.UnixNano())
+	}
+	return b.String()
+}
+
+// etagFor computes the strong ETag of a query set from its specs' keys
+// (specKey): an FNV-64a hash over the process boot epoch and every key.
+// Within one process, identical specs against an unchanged scope (and
+// unchanged clock, where it matters) produce the identical tag; across
+// restarts the epoch salt retires every outstanding tag, because
 // generations are record counts that restart from zero.
-func (a *API) etagFor(qs []api.Query, now time.Time) string {
+func (a *API) etagFor(keys ...string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "epoch|%d\n", a.epoch)
-	clockBound := false
-	for _, q := range qs {
-		fmt.Fprintf(h, "%s|%s|%s|%s|%s|%d|%g|%s|%g|%d|%d|%s|%d\n",
-			q.Kind, q.Market, q.Region, q.Product, q.Contract, q.N,
-			q.Ratio, q.Horizon, q.Utilization,
-			q.From.UnixNano(), q.To.UnixNano(), q.Rel,
-			a.queryScopeGen(q))
-		if c := q.Advise; c != nil {
-			fmt.Fprintf(h, "advise|%s|%s|%s|%d|%g|%g|%g|%d\n",
-				strings.Join(c.Regions, ","), strings.Join(c.Products, ","),
-				c.InstanceTypes, c.MinVCPU, c.MinMemoryGB,
-				c.MaxPricePerHour, c.MaxInterruptionRate, c.N)
-		}
-		clockBound = clockBound || dependsOnNow(q)
-	}
-	if clockBound {
-		fmt.Fprintf(h, "now|%d", now.UnixNano())
+	for _, k := range keys {
+		io.WriteString(h, k)
+		io.WriteString(h, "\n")
 	}
 	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
 }

@@ -52,6 +52,9 @@ type API struct {
 	// aggregate at and relative windows resolve against. The daemon wires
 	// it to the simulation clock.
 	Now func() time.Time
+	// cache is the response cache every query surface reads through
+	// (cache.go), keyed by the same preimage the ETag hashes.
+	cache *resultCache
 	// epoch salts every ETag with this process's boot instant. Scope
 	// generations are record counts that restart from zero with the
 	// process, so without the salt a restarted service whose scope
@@ -104,6 +107,7 @@ func NewAPI(engine *Engine, now func() time.Time) *API {
 	return &API{
 		engine:         engine,
 		Now:            now,
+		cache:          newResultCache(),
 		epoch:          time.Now().UnixNano(),
 		watchLimit:     defaultWatchLimit,
 		watchHeartbeat: defaultWatchHeartbeat,
@@ -223,9 +227,10 @@ func (a *API) Handler() http.Handler {
 
 // v1 adapts one query kind to a GET endpoint: parse the URL into the
 // typed spec, revalidate against If-None-Match (the ETag is the query's
-// scope generation — a 304 costs no query execution at all), evaluate it
-// on the shared exec path, and answer with the kind's bare payload (v1
-// responses carry the result directly, without the batch Result wrapper).
+// scope generation — a 304 costs no query execution at all), answer from
+// the response cache or the shared exec path, and write the kind's bare
+// payload (v1 responses carry the result directly, without the batch
+// Result wrapper).
 func (a *API) v1(kind api.Kind, pick func(api.Result) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := a.newTrace()
@@ -233,7 +238,8 @@ func (a *API) v1(kind api.Kind, pick func(api.Result) any) http.HandlerFunc {
 		tr.step(&tr.parse)
 		if aerr == nil {
 			now := a.Now()
-			etag := a.etagFor([]api.Query{q}, now)
+			key := a.specKey(q, now)
+			etag := a.etagFor(key)
 			if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
 				tr.step(&tr.probe)
 				w.Header().Set(api.HeaderETag, etag)
@@ -242,8 +248,11 @@ func (a *API) v1(kind api.Kind, pick func(api.Result) any) http.HandlerFunc {
 				a.finish(&tr, string(kind), http.StatusNotModified)
 				return
 			}
+			res, hit := a.cache.get(key)
 			tr.step(&tr.probe)
-			res := a.exec(q, now)
+			if !hit {
+				res = a.fill(q, key, now)
+			}
 			tr.step(&tr.exec)
 			if res.Error == nil {
 				w.Header().Set(api.HeaderETag, etag)

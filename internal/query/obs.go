@@ -11,8 +11,8 @@ import (
 // every route with per-route/per-status counts, latency histograms, the
 // in-flight gauge, and the 304 counter (obs.Instrument), and serves the
 // registry itself as GET /metrics (Prometheus text) and GET /v2/metrics
-// (JSON). Values other layers already count — response-cache hits,
-// advisor memo hits, watch streams — register as scrape-time collectors.
+// (JSON). Values the API already counts — response-cache hits and
+// misses, watch streams — register as scrape-time collectors.
 // Call before Handler(); a nil registry leaves the API uninstrumented.
 func (a *API) EnableMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -22,21 +22,11 @@ func (a *API) EnableMetrics(reg *obs.Registry) {
 	a.slowQueries = reg.Counter("spotlight_slow_queries_total",
 		"Requests that exceeded the slow-query threshold and were logged.")
 	reg.CounterFunc("spotlight_query_cache_hits_total",
-		"Engine response-cache hits (generation-keyed fast path).",
-		func() float64 { h, _ := a.engine.CacheStats(); return float64(h) })
+		"Query results served from the response cache (every kind: v1, batch specs and advise).",
+		func() float64 { h, _ := a.cache.stats(); return float64(h) })
 	reg.CounterFunc("spotlight_query_cache_misses_total",
-		"Engine response-cache misses (query recomputed).",
-		func() float64 { _, m := a.engine.CacheStats(); return float64(m) })
-	adv := a.engine.Advisor()
-	reg.CounterFunc("spotlight_advisor_memo_hits_total",
-		"Advise calls answered from the generation-keyed memo.",
-		func() float64 { h, _ := adv.MemoStats(); return float64(h) })
-	reg.CounterFunc("spotlight_advisor_memo_misses_total",
-		"Advise calls that ranked fresh.",
-		func() float64 { _, m := adv.MemoStats(); return float64(m) })
-	reg.CounterFunc("spotlight_advisor_rankings_total",
-		"Rankings served by the advisor (memo hits + fresh ranks).",
-		func() float64 { h, m := adv.MemoStats(); return float64(h + m) })
+		"Query results evaluated because the response cache missed.",
+		func() float64 { _, m := a.cache.stats(); return float64(m) })
 	reg.GaugeFunc("spotlight_watch_streams",
 		"Currently open /v2/watch SSE streams.",
 		func() float64 { return float64(a.watchers.Load()) })

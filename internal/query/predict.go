@@ -56,7 +56,7 @@ func (e *Engine) PredictOutage(m market.SpotID, ratio float64, window time.Durat
 	}
 
 	// Outage intervals are fetched per market on demand — each lookup
-	// reads only that market's shard — and memoized across levels.
+	// reads only that market's shard — and kept across levels.
 	outagesByMarket := make(map[market.SpotID][]store.OutageRecord)
 	correlated := func(sp store.SpikeEvent) bool {
 		outs, ok := outagesByMarket[sp.Market]

@@ -25,9 +25,10 @@ const (
 	defaultPredictHorizon = 900 * time.Second
 )
 
-// handleBatch serves POST /v2/query: decode the envelope, fan the specs
-// out across the engine, and answer each independently — one malformed or
-// failing query never poisons its batchmates.
+// handleBatch serves POST /v2/query: decode the envelope, answer each spec
+// from the response cache or by fanning it out across the engine, each
+// independently — one malformed or failing query never poisons its
+// batchmates.
 func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := a.newTrace()
 	var req api.BatchRequest
@@ -57,7 +58,11 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// unchanged batch answers 304 without fanning out a single query. The
 	// echoed Now field is evaluation metadata and intentionally outside
 	// the tag: a 304 asserts the results are unchanged, not the clock.
-	etag := a.etagFor(req.Queries, now)
+	keys := make([]string, len(req.Queries))
+	for i, q := range req.Queries {
+		keys[i] = a.specKey(q, now)
+	}
+	etag := a.etagFor(keys...)
 	if etagMatches(r.Header.Get(api.HeaderIfNoneMatch), etag) {
 		tr.step(&tr.probe)
 		w.Header().Set(api.HeaderETag, etag)
@@ -66,21 +71,30 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		a.finish(&tr, batchKind(len(req.Queries)), http.StatusNotModified)
 		return
 	}
-	tr.step(&tr.probe)
 	resp := api.BatchResponse{Now: now, Results: make([]api.Result, len(req.Queries))}
+	var misses []int
+	for i, key := range keys {
+		res, hit := a.cache.get(key)
+		if !hit {
+			misses = append(misses, i)
+		}
+		resp.Results[i] = res
+	}
+	tr.step(&tr.probe)
 
-	// Fan out across the engine. Queries are read-only and the store is
-	// concurrency-safe, so the only bound needed is CPU parallelism.
-	sem := make(chan struct{}, batchParallelism())
+	// Fan the misses out across the engine. Queries are read-only and the
+	// store is concurrency-safe, so the only bound needed is CPU
+	// parallelism.
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for i, q := range req.Queries {
+	for _, i := range misses {
 		wg.Add(1)
-		go func(i int, q api.Query) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			resp.Results[i] = a.exec(q, now)
-		}(i, q)
+			resp.Results[i] = a.fill(req.Queries[i], keys[i], now)
+		}(i)
 	}
 	wg.Wait()
 	tr.step(&tr.exec)
@@ -99,13 +113,6 @@ func batchKind(n int) string {
 // maxBatchBody bounds the decoded batch envelope; MaxBatchQueries fully
 // parameterized specs fit in a small fraction of this.
 const maxBatchBody = 1 << 20
-
-func batchParallelism() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 1
-}
 
 // exec evaluates one typed query spec at service clock now.
 func (a *API) exec(q api.Query, now time.Time) api.Result {

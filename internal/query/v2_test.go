@@ -239,7 +239,7 @@ func TestWriteAPIErrStatusMapping(t *testing.T) {
 }
 
 // TestV2CacheHitAndInvalidationOverHTTP closes the loop through the HTTP
-// layer: identical stable+summary batches hit the engine cache, and an
+// layer: identical stable+summary batches hit the response cache, and an
 // append to an in-scope shard invalidates it.
 func TestV2CacheHitAndInvalidationOverHTTP(t *testing.T) {
 	db := store.New()
@@ -259,11 +259,11 @@ func TestV2CacheHitAndInvalidationOverHTTP(t *testing.T) {
 	if resp, _ := postBatch(t, srv, batch...); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first batch status = %d", resp.StatusCode)
 	}
-	hits0, _ := engine.CacheStats()
+	hits0, _ := apiSrv.cache.stats()
 	if resp, _ := postBatch(t, srv, batch...); resp.StatusCode != http.StatusOK {
 		t.Fatalf("second batch status = %d", resp.StatusCode)
 	}
-	hits1, _ := engine.CacheStats()
+	hits1, _ := apiSrv.cache.stats()
 	if hits1 != hits0+2 {
 		t.Errorf("repeated batch hits = %d -> %d, want +2 (stable and summary both cached)", hits0, hits1)
 	}
@@ -274,7 +274,7 @@ func TestV2CacheHitAndInvalidationOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-append batch status = %d", resp.StatusCode)
 	}
-	hits2, _ := engine.CacheStats()
+	hits2, _ := apiSrv.cache.stats()
 	if hits2 != hits1 {
 		t.Errorf("post-append batch hit the stale cache (hits %d -> %d)", hits1, hits2)
 	}

@@ -102,32 +102,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Pearson returns the Pearson correlation coefficient of the paired samples
-// xs and ys. It returns 0 when either series has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	var mx, my Online
-	for i := range xs {
-		mx.Add(xs[i])
-		my.Add(ys[i])
-	}
-	sx, sy := mx.StdDev(), my.StdDev()
-	if sx == 0 || sy == 0 {
-		return 0, nil
-	}
-	cov := 0.0
-	for i := range xs {
-		cov += (xs[i] - mx.Mean()) * (ys[i] - my.Mean())
-	}
-	cov /= float64(len(xs) - 1)
-	return cov / (sx * sy), nil
-}
-
 // ECDF is an empirical cumulative distribution function built from a sample.
 type ECDF struct {
 	sorted []float64

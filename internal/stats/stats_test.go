@@ -77,41 +77,6 @@ func TestPercentileErrors(t *testing.T) {
 	}
 }
 
-func TestPearsonPerfectCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-1) > 1e-12 {
-		t.Errorf("Pearson = %v, want 1", r)
-	}
-	for i := range ys {
-		ys[i] = -ys[i]
-	}
-	r, _ = Pearson(xs, ys)
-	if math.Abs(r+1) > 1e-12 {
-		t.Errorf("Pearson (negated) = %v, want -1", r)
-	}
-}
-
-func TestPearsonZeroVariance(t *testing.T) {
-	r, err := Pearson([]float64{1, 1, 1}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Errorf("Pearson(constant, x) = %v, want 0", r)
-	}
-}
-
-func TestPearsonLengthMismatch(t *testing.T) {
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("Pearson with mismatched lengths succeeded, want error")
-	}
-}
-
 func TestECDF(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 3})
 	tests := []struct {

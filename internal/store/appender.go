@@ -31,7 +31,7 @@ func (s *Store) Appender(id market.SpotID) *Appender {
 // Market returns the market the handle is bound to.
 func (a *Appender) Market() market.SpotID { return a.id }
 
-// shard resolves (and memoizes) the bound market's shard, creating it on
+// shard resolves (and remembers) the bound market's shard, creating it on
 // the first write.
 func (a *Appender) shard() *shard {
 	if sh := a.sh.Load(); sh != nil {

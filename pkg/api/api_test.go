@@ -9,12 +9,17 @@ import (
 
 var now = time.Date(2015, 9, 2, 0, 0, 0, 0, time.UTC)
 
+// plus2 is a non-UTC offset: resolved bounds come back in UTC whatever
+// offset the clock or the request used, so an echoed window encodes one
+// way for one instant.
+var plus2 = time.FixedZone("+02:00", 2*60*60)
+
 func TestWindowResolveRelative(t *testing.T) {
-	from, to, err := Last(24 * time.Hour).Resolve(now)
+	from, to, err := Last(24 * time.Hour).Resolve(now.In(plus2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !to.Equal(now) || !from.Equal(now.Add(-24*time.Hour)) {
+	if !to.Equal(now) || !from.Equal(now.Add(-24*time.Hour)) || to.Location() != time.UTC || from.Location() != time.UTC {
 		t.Errorf("resolved [%v, %v]", from, to)
 	}
 	// The relative form wins when both are present.
@@ -26,11 +31,11 @@ func TestWindowResolveRelative(t *testing.T) {
 }
 
 func TestWindowResolveAbsolute(t *testing.T) {
-	from, to, err := Between(now.Add(-time.Hour), now).Resolve(now)
+	from, to, err := Between(now.Add(-time.Hour).In(plus2), now.In(plus2)).Resolve(now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !from.Equal(now.Add(-time.Hour)) || !to.Equal(now) {
+	if !from.Equal(now.Add(-time.Hour)) || !to.Equal(now) || to.Location() != time.UTC || from.Location() != time.UTC {
 		t.Errorf("resolved [%v, %v]", from, to)
 	}
 }

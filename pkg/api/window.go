@@ -29,8 +29,10 @@ func Between(from, to time.Time) Window { return Window{From: from, To: to} }
 func (w Window) IsZero() bool { return w.Rel == "" && w.From.IsZero() && w.To.IsZero() }
 
 // Resolve turns the window into concrete [from, to] bounds against the
-// service clock now. It returns CodeBadWindow when the window is missing,
-// unparseable, non-positive, empty, or inverted.
+// service clock now, in UTC: the bounds are instants, so responses that
+// echo them read the same whatever offset the request was written in. It
+// returns CodeBadWindow when the window is missing, unparseable,
+// non-positive, empty, or inverted.
 func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
 	if w.Rel != "" {
 		d, perr := time.ParseDuration(w.Rel)
@@ -40,7 +42,7 @@ func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
 		if d <= 0 {
 			return from, to, Errorf(CodeBadWindow, "relative window must be positive, got %q", w.Rel)
 		}
-		return now.Add(-d), now, nil
+		return now.Add(-d).UTC(), now.UTC(), nil
 	}
 	if w.From.IsZero() || w.To.IsZero() {
 		return from, to, Errorf(CodeBadWindow, "missing window: supply from+to (RFC3339) or window (relative duration)")
@@ -48,5 +50,5 @@ func (w Window) Resolve(now time.Time) (from, to time.Time, err *Error) {
 	if !w.To.After(w.From) {
 		return from, to, Errorf(CodeBadWindow, "window is empty or inverted: to must be after from")
 	}
-	return w.From, w.To, nil
+	return w.From.UTC(), w.To.UTC(), nil
 }
